@@ -43,16 +43,32 @@ class LamplighterElement:
         if not isinstance(other, LamplighterElement):
             raise GroupMismatchError(f"cannot multiply lamplighter element by {type(other).__name__}")
         t = self.cursor
-        shifted = [p + t for p in other.lamps]
+        if not other.lamps:
+            return _lamp(self.lamps, t + other.cursor)
+        shifted = [p + t for p in other.lamps] if t else other.lamps
+        if not self.lamps:
+            return _lamp(tuple(shifted), t + other.cursor)
         lamps = set(self.lamps).symmetric_difference(shifted)
-        return LamplighterElement(tuple(sorted(lamps)), t + other.cursor)
+        return _lamp(tuple(sorted(lamps)), t + other.cursor)
 
     def inverse(self) -> "LamplighterElement":
         t = self.cursor
-        return LamplighterElement(tuple(sorted(p - t for p in self.lamps)), -t)
+        # a shift keeps the lamps strictly ascending
+        return _lamp(tuple([p - t for p in self.lamps]) if t else self.lamps, -t)
 
     def is_identity(self) -> bool:
         return not self.lamps and self.cursor == 0
+
+
+def _lamp(lamps: tuple[int, ...], cursor: int) -> LamplighterElement:
+    """Unvalidated constructor; the caller guarantees strictly ascending lamps.
+
+    Outside input goes through the public constructor or decode, which validate.
+    """
+    g = object.__new__(LamplighterElement)
+    object.__setattr__(g, "lamps", lamps)
+    object.__setattr__(g, "cursor", cursor)
+    return g
 
 
 @dataclass(frozen=True)
@@ -248,7 +264,7 @@ def decode(text: str, offset: int = 0) -> Element:
         cursor = _parse_int(text[:bar], offset)
         lamp_text = text[bar + 1 :]
         if not lamp_text:
-            return LamplighterElement((), cursor)
+            return _lamp((), cursor)
         lamps = []
         pos = offset + bar + 1
         for field in lamp_text.split(","):
@@ -259,7 +275,7 @@ def decode(text: str, offset: int = 0) -> Element:
                 raise ParseError(
                     f"lamps not strictly ascending: {prev} before {nxt}", text, offset + bar + 1
                 )
-        return LamplighterElement(tuple(lamps), cursor)
+        return _lamp(tuple(lamps), cursor)
     if "," in text:
         comma = text.index(",")
         x = _parse_int(text[:comma], offset)

@@ -23,6 +23,7 @@ from .groups import (
     Element,
     GroupDescriptor,
     LamplighterElement,
+    _lamp,
     encode,
     inverse,
     multiply,
@@ -136,8 +137,7 @@ class SkewBox:
             raise MembershipError(f"index {index} out of range for skewbox:{n}")
         block, mask = divmod(index, 1 << n)
         t = block - (n - 1)
-        lamps = tuple(t + i for i in range(n) if (mask >> i) & 1)
-        return LamplighterElement(lamps, t)
+        return _lamp(tuple(t + i for i in range(n) if (mask >> i) & 1), t)
 
     def sample(self, rng) -> LamplighterElement:
         return self.unrank(rng.randrange(self.size()))

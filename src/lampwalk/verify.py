@@ -9,6 +9,8 @@ A failure anywhere is meant to flip the process exit status.
 
 from __future__ import annotations
 
+import math
+
 from .analysis import WindowOracle
 from .construction import Construction
 from .errors import LampwalkError, OracleRangeError
@@ -16,22 +18,27 @@ from .groups import encode, inverse
 from .sampling import KDistribution, pmf_eval, support_enumeration
 from .setalg import explicit, power_set, symmetrize
 from .switchers import is_superswitcher, is_switcher
+from .tvbound import exact_joint_pmf
+
+PMF_REL_TOL = 1e-12
 
 
 def run_verification_suite(c: Construction) -> list:
+    # shared by both window checks, so each (level, prime) index is built once
+    oracle = WindowOracle(c)
     checks = [
-        _check_rebuild,
-        _check_core_nesting,
-        _check_switchers,
-        _check_decompositions,
-        _check_disjointness,
-        _check_folner,
-        _check_pmf_symmetry,
+        (_check_rebuild, c),
+        (_check_core_nesting, c),
+        (_check_switchers, c),
+        (_check_decompositions, oracle),
+        (_check_disjointness, oracle),
+        (_check_folner, c),
+        (_check_pmf_symmetry, c),
     ]
     results = []
-    for check in checks:
+    for check, arg in checks:
         try:
-            results.extend(check(c))
+            results.extend(check(arg))
         except LampwalkError as exc:
             results.append((check.__name__.removeprefix("_check_"), False, str(exc)))
     return results
@@ -116,10 +123,9 @@ def _window_levels(c: Construction):
         yield i
 
 
-def _check_decompositions(c: Construction):
+def _check_decompositions(oracle: WindowOracle):
     out = []
-    oracle = WindowOracle(c)
-    for i in _window_levels(c):
+    for i in _window_levels(oracle.construction):
         try:
             index = oracle.index(i)
         except OracleRangeError as exc:
@@ -134,10 +140,9 @@ def _check_decompositions(c: Construction):
     return out
 
 
-def _check_disjointness(c: Construction):
+def _check_disjointness(oracle: WindowOracle):
     out = []
-    oracle = WindowOracle(c)
-    levels = list(_window_levels(c))
+    levels = list(_window_levels(oracle.construction))
     if len(levels) < 2:
         return out
     w1 = oracle.index(1)
@@ -178,6 +183,13 @@ def _check_folner(c: Construction):
 
 
 def _check_pmf_symmetry(c: Construction):
+    """Parse-based nu (pmf_eval) against the forward enumeration at g and g^-1.
+
+    pmf_eval averages the parse mass of g and g^-1, so comparing it with
+    itself at g^-1 could not fail.  exact_joint_pmf instead enumerates the
+    sampler's branches forward; both sums run over the same terms in other
+    orders, so they agree to rounding, hence the relative tolerance.
+    """
     if c.mode != "symmetric" or c.schedule != "mini" or c.max_built < 1:
         return []
     trunc = min(c.max_built, 2)
@@ -186,9 +198,17 @@ def _check_pmf_symmetry(c: Construction):
         support = support_enumeration(c, kdist)
     except OracleRangeError as exc:
         return [("pmf-symmetry", True, f"skipped: {exc}")]
-    bad = [g for g in support if pmf_eval(c, g, kdist) != pmf_eval(c, inverse(g), kdist)]
+    forward = exact_joint_pmf(c, kdist)
+    bad = []
+    for g in support:
+        parsed = pmf_eval(c, g, kdist)
+        if not all(
+            math.isclose(parsed, forward.prob(h), rel_tol=PMF_REL_TOL) for h in (g, inverse(g))
+        ):
+            bad.append(g)
     return [(
         "pmf-symmetry", not bad,
-        f"nu(g) = nu(g^-1) on all {len(support)} support elements"
-        if not bad else f"asymmetry at {encode(bad[0])}",
+        f"parsed nu(g) matches the forward law at g and g^-1 on all {len(support)} "
+        f"support elements (rel tol {PMF_REL_TOL:g})"
+        if not bad else f"parsed and forward law disagree at {encode(bad[0])} or its inverse",
     )]

@@ -101,6 +101,27 @@ def test_group_laws_random_triples(group):
         assert is_identity(multiply(a, inverse(a)))
 
 
+def test_products_and_inverses_match_validated_wreath_law():
+    # multiply and inverse build their results without validation; rebuild each
+    # one through the validating constructor from the wreath law written out
+    rng = random.Random(4)
+    for _ in range(10_000):
+        a, b = random_lamp(rng), random_lamp(rng)
+        t = a.cursor
+        for got, want in (
+            (
+                multiply(a, b),
+                LamplighterElement(
+                    tuple(sorted(set(a.lamps) ^ {p + t for p in b.lamps})), t + b.cursor
+                ),
+            ),
+            (inverse(a), LamplighterElement(tuple(sorted(p - t for p in a.lamps)), -t)),
+        ):
+            assert got == want and hash(got) == hash(want)
+            assert type(got.lamps) is tuple
+            assert all(x < y for x, y in zip(got.lamps, got.lamps[1:]))
+
+
 def test_inverse_examples():
     g = LamplighterElement((0, 3), 2)
     assert inverse(g) == LamplighterElement((-2, 1), -2)
@@ -124,11 +145,16 @@ def test_encode_examples():
     assert encode(AbelianControlElement(-3, 7)) == "-3,7"
 
 
+@pytest.mark.parametrize("lamps", [(1, 0), (0, 0)])
+def test_constructor_rejects_noncanonical_lamps(lamps):
+    with pytest.raises(ValueError):
+        LamplighterElement(lamps, 0)
+
+
 def test_decode_rejects_unsorted_lamps():
-    with pytest.raises(ParseError):
-        decode("2|3,0")
-    with pytest.raises(ParseError):
-        decode("2|0,0")
+    for bad in ["2|3,0", "2|0,0", "0|1,0", "0|0,0", "(0|1,0;0|)"]:
+        with pytest.raises(ParseError):
+            decode(bad)
 
 
 def test_decode_reports_position():
