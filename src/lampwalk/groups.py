@@ -43,18 +43,13 @@ class LamplighterElement:
         if not isinstance(other, LamplighterElement):
             raise GroupMismatchError(f"cannot multiply lamplighter element by {type(other).__name__}")
         t = self.cursor
-        if not other.lamps:
-            return _lamp(self.lamps, t + other.cursor)
-        shifted = [p + t for p in other.lamps] if t else other.lamps
-        if not self.lamps:
-            return _lamp(tuple(shifted), t + other.cursor)
-        lamps = set(self.lamps).symmetric_difference(shifted)
+        lamps = set(self.lamps).symmetric_difference([p + t for p in other.lamps])
         return _lamp(tuple(sorted(lamps)), t + other.cursor)
 
     def inverse(self) -> "LamplighterElement":
         t = self.cursor
         # a shift keeps the lamps strictly ascending
-        return _lamp(tuple([p - t for p in self.lamps]) if t else self.lamps, -t)
+        return _lamp(tuple([p - t for p in self.lamps]), -t)
 
     def is_identity(self) -> bool:
         return not self.lamps and self.cursor == 0
