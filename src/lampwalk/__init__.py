@@ -36,10 +36,8 @@ from .setalg import (
     folner_for,
     power_set,
     product_set,
-    rank_in,
     skewbox_overlap,
     symmetrize,
-    unrank,
     verify_folner,
 )
 from .switchers import (
@@ -56,7 +54,6 @@ from .sampling import (
     KDistribution,
     Trajectory,
     pmf_eval,
-    sample_k,
     sample_x,
     sample_y,
     walk,

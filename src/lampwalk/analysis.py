@@ -10,9 +10,10 @@ Definitions (over a level sequence k_1, k_2, ...):
   stabilization time is the last index that is not stable so far, provided
   the horizon itself is stable (otherwise the trajectory is censored).
 
-Window forms: at level i, W is the set of pairs
+Window forms: at level i, W is the set of pairs q1 X q2 with X the blue
+increment (``Level.blue_increment``), that is
 
-    ( q1_1 (f1 b1 psi1(f2) b2)^sigma q2_1,  q1_2 (f2 b1' psi2(f1) b2')^sigma q2_2 )
+    ( q1_1 (f1 b1 f2 b2)^sigma q2_1,  q1_2 (f2 b1' f1 b2')^sigma q2_2 )
 
 with q1_j in A(j,i)^p1, f_j in the level box, q2_j in A(j,i)^p2 (sigma only
 in symmetric mode); W' lowers the q1 power.  On the mini schedule both are
@@ -31,12 +32,7 @@ from typing import Optional
 
 from .construction import Construction
 from .errors import MembershipError, OracleRangeError
-from .groups import (
-    ProductElement,
-    encode,
-    inverse,
-    multiply,
-)
+from .groups import ProductElement, encode, multiply
 from .sampling import Trajectory
 from .setalg import certify_power
 
@@ -145,9 +141,7 @@ class Decomposition:
 
 
 def recompose(c: Construction, d: Decomposition) -> ProductElement:
-    from .sampling import _blue_increment
-
-    mid = _blue_increment(c, d.level, d.f1, d.f2, d.sigma)
+    mid = c.level(d.level).blue_increment(d.f1, d.f2, d.sigma)
     return multiply(multiply(d.q1, mid), d.q2)
 
 
@@ -236,12 +230,10 @@ class WindowIndex:
     """Exhaustive per-factor index of the level-i window forms."""
 
     def __init__(self, c: Construction, i: int, prime: bool = False):
-        prof = c.profile
         self.construction = c
         self.level = i
         self.prime = prime
-        q1p = prof.wprime_q1_power(i) if prime else prof.w_q1_power(i)
-        q2p = prof.w_q2_power(i)
+        e = c.profile.exponent_level(i)
         lv = c.level(i)
         box = lv.box()
         if box.n.bit_length() > 16 or box.size() > 512:
@@ -254,23 +246,19 @@ class WindowIndex:
             for i2 in range(len(self.fs))
             for s in self.sigmas
         ]
+        mids = [lv.blue_increment(self.fs[i1], self.fs[i2], s) for i1, i2, s in self.slices]
         self.factors = []
         for j in (1, 2):
-            qa = c.a_power(j, i, q1p).sorted_elements() if q1p else [c.identity]
-            qb = c.a_power(j, i, q2p).sorted_elements() if q2p else [c.identity]
-            self.factors.append(self._build_factor(j, qa, qb))
+            qa = c.a_power(j, i, e if prime else e + 1).sorted_elements()
+            qb = c.a_power(j, i, e).sorted_elements()
+            parts = [x.left if j == 1 else x.right for x in mids]
+            self.factors.append(self._build_factor(parts, qa, qb))
 
-    def _mid(self, j: int, f1, f2, sigma: int):
-        c, i = self.construction, self.level
-        fl = c.level(i).factor(j)
-        own, other = (f1, f2) if j == 1 else (f2, f1)
-        v = multiply(multiply(multiply(own, fl.b1), c.psi_apply(j, i, other)), fl.b2)
-        return inverse(v) if sigma == -1 else v
-
-    def _build_factor(self, j: int, qa_list, qb_list) -> _FactorMap:
+    @staticmethod
+    def _build_factor(mids, qa_list, qb_list) -> _FactorMap:
+        """Index q1 * mid * q2 of one factor by slice id and q-choices."""
         values = {}
-        for sid, (i1, i2, s) in enumerate(self.slices):
-            mid = self._mid(j, self.fs[i1], self.fs[i2], s)
+        for sid, mid in enumerate(mids):
             for ia, qa in enumerate(qa_list):
                 left = multiply(qa, mid)
                 for ib, qb in enumerate(qb_list):
@@ -338,9 +326,6 @@ class WindowIndex:
         if both:
             return False, sorted(both)
         return True, []
-
-    def element_count_bound(self) -> int:
-        return min(len(self.factors[0].values), len(self.factors[1].values))
 
     def iter_elements(self, limit: Optional[int] = None):
         """Joint window forms, one per (slice, q-choice) tuple combination."""

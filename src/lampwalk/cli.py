@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import trajectory_report, write_analysis_json
-from .construction import Config, Construction
+from .construction import MINI_BOX_MAX, Config, Construction
 from .errors import LampwalkError
 from .groups import decode, encode, lamplighter_group
 from .sampling import (
@@ -99,7 +99,7 @@ def _effective_config(args) -> dict:
     if args.config:
         cfg.update(load_config_file(args.config))
     for key in (
-        "mode", "schedule", "truncation_level", "seed", "threads",
+        "mode", "schedule", "truncation_level", "seed",
         "x_level_cap", "horizon", "n_traj", "max_level",
     ):
         val = getattr(args, key, None)
@@ -137,10 +137,10 @@ def cmd_build(args) -> int:
     if args.max_level < 1:
         print("error: --max-level must be >= 1", file=sys.stderr)
         return 2
-    cfg = Config()
-    cfg.mini_box_cap = args.mini_box_cap
-    if args.no_brute_verify:
-        cfg.brute_verify = False
+    if not 1 <= args.mini_box_cap <= MINI_BOX_MAX:
+        print(f"error: --mini-box-cap must be in 1..{MINI_BOX_MAX}", file=sys.stderr)
+        return 2
+    cfg = Config(mini_box_cap=args.mini_box_cap, brute_verify=not args.no_brute_verify)
     c = Construction(mode=args.mode, schedule=args.schedule, config=cfg)
     for i in range(1, args.max_level + 1):
         level = c.build_level(i)
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed")
     common.add_argument("--config", help="KEY = VALUE config file; flags win")
-    common.add_argument("--threads", type=int, default=1, help="reserved; runs are sequential")
     common.add_argument("--out-dir", default="out", help="directory for multi-file outputs")
     common.add_argument("--stamp", action="store_true", help="embed a wall-clock timestamp")
     parser = argparse.ArgumentParser(

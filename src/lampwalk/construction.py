@@ -82,41 +82,35 @@ REPRESENTABLE_BOX_BITS = 24
 
 @dataclass(frozen=True)
 class ScheduleProfile:
-    """Exponent and box policy of a schedule."""
+    """Exponent and box policy of a schedule.
+
+    The mini schedule is the paper schedule with its exponents frozen at
+    level 1: every power is a function of ``exponent_level(i)``, which is i
+    on the paper schedule and 1 on mini.  At exponent level e a level uses
+    A^(e+1) for box invariance, switcher sets to powers e+2 and 2e+8, and
+    window cosets A^(e+1) F b1 S b2 A^e (W' lowers the left power to e).
+    Only the paper schedule certifies its boxes, at delta = 1/i.
+    """
 
     name: str
     folner_enforced: bool
 
-    def folner_power(self, i: int) -> int:
-        return i + 1 if self.name == "paper" else 2
-
-    def b1_power(self, i: int) -> int:
-        return i + 2 if self.name == "paper" else 3
-
-    def b2_power(self, i: int) -> int:
-        return 2 * i + 8 if self.name == "paper" else 10
-
-    def w_q1_power(self, i: int) -> int:
-        """Power of A carried by the left coset factor of a level-i window."""
-        return i + 1 if self.name == "paper" else 2
-
-    def w_q2_power(self, i: int) -> int:
-        return i if self.name == "paper" else 1
-
-    def wprime_q1_power(self, i: int) -> int:
-        return i if self.name == "paper" else 1
-
-    def delta(self, i: int) -> Optional[Fraction]:
-        return Fraction(1, i) if self.name == "paper" else None
-
-    def box_param(self, i: int) -> Optional[int]:
-        return None if self.name == "paper" else min(i, 2)
+    def exponent_level(self, i: int) -> int:
+        return i if self.folner_enforced else 1
 
 
 PAPER = ScheduleProfile("paper", folner_enforced=True)
 MINI = ScheduleProfile("mini", folner_enforced=False)
 
 PROFILES = {"paper": PAPER, "mini": MINI}
+
+# mini boxes stay small enough to materialize and brute-verify
+MINI_BOX_MAX = 2
+
+
+def folner_delta(i: int) -> Fraction:
+    """The invariance tolerance the paper schedule certifies at level i."""
+    return Fraction(1, i)
 
 
 @dataclass
@@ -128,7 +122,7 @@ class Config:
     brute_verify: bool = True       # mini: brute-check switchers at build time
     brute_level_cap: int = 2
     brute_power: int = 2            # mini: power of the materialized check set
-    mini_box_cap: int = 2           # mini: window size grows min(i, cap)
+    mini_box_cap: int = 2           # mini: window size grows min(i, cap), cap in 1..2
     membership_scan_cap: int = 100_000
 
     def as_lines(self):
@@ -161,6 +155,15 @@ class FactorLevel:
     b2: LamplighterElement
     c: LamplighterElement
 
+    def blue(self, own: LamplighterElement, other: LamplighterElement) -> LamplighterElement:
+        """own b1 psi(other) b2, this factor's share of the blue increment.
+
+        The paper's psi is a fixed bijection from the other factor's box F
+        onto S; here S := F is the one shared skew box, so psi is the
+        identity and the other factor's draw enters as it is.
+        """
+        return multiply(multiply(multiply(own, self.b1), other), self.b2)
+
 
 @dataclass
 class Level:
@@ -175,6 +178,11 @@ class Level:
 
     def box(self) -> SkewBox:
         return SkewBox(self.n)
+
+    def blue_increment(self, f1, f2, sigma: int = 1) -> ProductElement:
+        """X = (f1 b1 f2 b2, f2 b1' f1 b2')^sigma for box draws f1, f2."""
+        x = ProductElement(self.factors[0].blue(f1, f2), self.factors[1].blue(f2, f1))
+        return inverse(x) if sigma == -1 else x
 
 
 @dataclass
@@ -198,6 +206,8 @@ class Construction:
         self.schedule = schedule
         self.profile = PROFILES[schedule]
         self.config = config or Config()
+        if schedule == "mini" and not 1 <= self.config.mini_box_cap <= MINI_BOX_MAX:
+            raise ValueError(f"mini box cap must be in 1..{MINI_BOX_MAX}")
         self.factor_group = lamplighter_group()
         self.group = product_group(self.factor_group, self.factor_group)
         self.identity = self.factor_group.identity()
@@ -229,9 +239,10 @@ class Construction:
     def build_level(self, i: int) -> Level:
         if i != self.max_built + 1:
             raise ValueError(f"levels build sequentially; next is {self.max_built + 1}")
-        prof, cfg = self.profile, self.config
+        cfg = self.config
         sym = self.mode == "symmetric"
         states = self._state
+        e = self.profile.exponent_level(i)
 
         n = self._choose_box(i, states)
         if self.max_built:
@@ -248,12 +259,12 @@ class Construction:
         for idx, st in enumerate(states):
             j = idx + 1
             alphabet = certify_union(st.cert, box_cert_pm)  # A u S(+-) u F(+-)
-            c1 = certify_power(alphabet, prof.b1_power(i))
+            c1 = certify_power(alphabet, e + 2)
             b1 = analytic_superswitcher(c1) if sym else analytic_switcher(c1)
             b1_cert = certify(explicit(self.factor_group, [b1]))
             if sym:
                 b1_cert = certify_symmetrize(b1_cert)
-            c2 = certify_power(certify_union(alphabet, b1_cert), prof.b2_power(i))
+            c2 = certify_power(certify_union(alphabet, b1_cert), 2 * e + 8)
             b2 = analytic_superswitcher(c2) if sym else analytic_switcher(c2)
             fl = FactorLevel(
                 a_cert=st.cert, a_card=st.card, core_len=st.core_len,
@@ -266,22 +277,20 @@ class Construction:
             index=i,
             n=n,
             factors=tuple(factors),
-            folner_certified=prof.folner_enforced,
+            folner_certified=self.profile.folner_enforced,
             folner_ratio=self._exact_ratio(i, states, box),
         )
         if cfg.brute_verify and self.schedule == "mini" and i <= cfg.brute_level_cap:
-            self._brute_verify(level, box)
+            self._brute_verify(level)
         self.levels.append(level)
         self._state = tuple(next_states)
         return level
 
     def _choose_box(self, i: int, states) -> int:
-        prof, cfg = self.profile, self.config
-        fixed = prof.box_param(i)
-        if fixed is not None:
-            return min(fixed, cfg.mini_box_cap)
-        p = prof.folner_power(i)
-        delta = prof.delta(i)
+        cfg = self.config
+        if not self.profile.folner_enforced:
+            return min(i, cfg.mini_box_cap)
+        p = self.profile.exponent_level(i) + 1
         n = 1
         for idx, st in enumerate(states):
             if st.card is None:
@@ -296,7 +305,7 @@ class Construction:
                     self._core_set(idx + 1, st.core_len), p, size_cap=cfg.size_cap
                 )
             card = None if elements is not None else st.card ** p
-            nj = folner_for(cert_p, delta, card_bound=card, elements=elements).n
+            nj = folner_for(cert_p, folner_delta(i), card_bound=card, elements=elements).n
             n = max(n, nj)
         return n
 
@@ -305,7 +314,7 @@ class Construction:
 
     def _exact_ratio(self, i, states, box) -> Optional[Fraction]:
         """Exact invariance ratio of the box under A^p, when A^p materializes."""
-        p = self.profile.folner_power(i)
+        p = self.profile.exponent_level(i) + 1
         worst = None
         for idx, st in enumerate(states):
             if not (st.exact and st.core_len ** p <= self.config.folner_power_cap):
@@ -369,9 +378,8 @@ class Construction:
         fs = list(box.iter_elements(self.config.size_cap))
         sym = self.mode == "symmetric"
         for f in fs:
-            head = multiply(f, fl.b1)
             for s in fs:
-                g = multiply(multiply(head, s), fl.b2)
+                g = fl.blue(f, s)
                 if sym:
                     for tail in fs:
                         gg = multiply(g, tail)
@@ -381,47 +389,40 @@ class Construction:
                     out.add(g)
         return out
 
-    def _brute_verify(self, level: Level, box: SkewBox) -> None:
-        """Mini-schedule cross-check: analytic switchers vs materialized sets."""
+    def switcher_scans(self, level: Level):
+        """Brute switcher scans of one level against materialized sets.
+
+        Yields (name, requirement set, report) per factor j: the inner
+        switcher b1 against (core(A) u F)^p, then the outer switcher b2
+        against (core(A) u F u {b1})^p, with F and b1 symmetrized in
+        symmetric mode and p the configured brute power.  Lazy, so a caller
+        can stop at the first failure.
+        """
         cfg = self.config
         sym = self.mode == "symmetric"
-        fbox = box.as_explicit(self.factor_group, cfg.size_cap)
+        check = is_superswitcher if sym else is_switcher
+        fbox = level.box().as_explicit(self.factor_group, cfg.size_cap)
         if sym:
             fbox = symmetrize(fbox)
         for j in (1, 2):
             fl = level.factor(j)
-            core = set(self._core_lists[j - 1][: fl.core_len])
-            base = explicit(self.factor_group, core | fbox.elements)
-            step3 = power_set(base, cfg.brute_power, size_cap=cfg.size_cap)
-            rep = (is_superswitcher if sym else is_switcher)(fl.b1, step3)
-            if not rep.passed:
-                raise ScheduleLimitError(
-                    f"level {level.index} j={j}: inner switcher failed brute "
-                    f"verification: {rep.reason}; witness {rep.witness}"
-                )
+            base = set(self._core_lists[j - 1][: fl.core_len]) | fbox.elements
             with_b1 = {fl.b1, inverse(fl.b1)} if sym else {fl.b1}
-            base4 = explicit(self.factor_group, base.elements | with_b1)
-            step4 = power_set(base4, cfg.brute_power, size_cap=cfg.size_cap)
-            rep = (is_superswitcher if sym else is_switcher)(fl.b2, step4)
+            for kind, b, elements in (("inner", fl.b1, base), ("outer", fl.b2, base | with_b1)):
+                req = power_set(explicit(self.factor_group, elements), cfg.brute_power,
+                                size_cap=cfg.size_cap)
+                yield f"switcher-{kind}-L{level.index}j{j}", req, check(b, req)
+
+    def _brute_verify(self, level: Level) -> None:
+        """Mini-schedule cross-check: analytic switchers vs materialized sets."""
+        for name, _, rep in self.switcher_scans(level):
             if not rep.passed:
                 raise ScheduleLimitError(
-                    f"level {level.index} j={j}: outer switcher failed brute "
-                    f"verification: {rep.reason}; witness {rep.witness}"
+                    f"level {level.index}: {name} failed brute verification: "
+                    f"{rep.reason}; witness {rep.witness}"
                 )
 
     # -- queries ----------------------------------------------------------------
-
-    def box(self, i: int) -> SkewBox:
-        return self.level(i).box()
-
-    def psi_apply(self, j: int, i: int, f: LamplighterElement) -> LamplighterElement:
-        """The fixed bijection F(3-j, i) -> S(j, i): rank in F, unrank in S."""
-        box = self.box(i)
-        return box.unrank(box.rank(f))
-
-    def psi_invert(self, j: int, i: int, s: LamplighterElement) -> LamplighterElement:
-        box = self.box(i)
-        return box.unrank(box.rank(s))
 
     def a_core(self, j: int, i: int) -> tuple:
         """Explicit known members of A(j,i), in deterministic build order."""
@@ -555,18 +556,22 @@ class Construction:
             raise CorruptFileError(f"unsupported format (want {FORMAT_VERSION!r})")
         mode = reader.field("mode")
         schedule = reader.field("schedule")
-        cfg = Config(
-            size_cap=int(reader.field("size-cap")),
-            core_block_cap=int(reader.field("core-block-cap")),
-            core_level_cap=int(reader.field("core-level-cap")),
-            folner_power_cap=int(reader.field("folner-power-cap")),
-            brute_verify=reader.field("brute-verify") == "yes",
-            brute_level_cap=int(reader.field("brute-level-cap")),
-            brute_power=int(reader.field("brute-power")),
-            mini_box_cap=int(reader.field("mini-box-cap")),
-            membership_scan_cap=int(reader.field("membership-scan-cap")),
-        )
-        out = cls(mode=mode, schedule=schedule, config=cfg)
+        try:
+            cfg = Config(
+                size_cap=int(reader.field("size-cap")),
+                core_block_cap=int(reader.field("core-block-cap")),
+                core_level_cap=int(reader.field("core-level-cap")),
+                folner_power_cap=int(reader.field("folner-power-cap")),
+                brute_verify=reader.field("brute-verify") == "yes",
+                brute_level_cap=int(reader.field("brute-level-cap")),
+                brute_power=int(reader.field("brute-power")),
+                mini_box_cap=int(reader.field("mini-box-cap")),
+                membership_scan_cap=int(reader.field("membership-scan-cap")),
+            )
+            out = cls(mode=mode, schedule=schedule, config=cfg)
+        except ValueError as exc:
+            # a rehashed file can still carry a header value no build writes
+            raise CorruptFileError(f"bad header: {exc}") from None
         n_levels = int(reader.field("levels"))
         for i in range(1, n_levels + 1):
             if reader.take() != f"[level {i}]":

@@ -199,13 +199,6 @@ def is_identity(a: Element) -> bool:
     return a.is_identity()
 
 
-def product_of(elements, identity: Element) -> Element:
-    out = identity
-    for x in elements:
-        out = multiply(out, x)
-    return out
-
-
 # -- canonical encoding ------------------------------------------------------
 #
 # lamplighter:      <cursor>|<lamp>,<lamp>,...   lamps sorted ascending
@@ -215,7 +208,15 @@ def product_of(elements, identity: Element) -> Element:
 
 def encode(a: Element) -> str:
     if isinstance(a, LamplighterElement):
-        return f"{a.cursor}|{','.join(str(p) for p in a.lamps)}"
+        try:
+            return f"{a.cursor}|{','.join(str(p) for p in a.lamps)}"
+        except ValueError:
+            # an integer past the interpreter's decimal-digit limit
+            limit = sys.get_int_max_str_digits()
+            raise SizeCapError(
+                f"cannot encode: a cursor or lamp exceeds {limit} decimal digits",
+                cap=limit,
+            ) from None
     if isinstance(a, ProductElement):
         return f"({encode(a.left)};{encode(a.right)})"
     if isinstance(a, AbelianControlElement):
@@ -330,12 +331,6 @@ class LazyEnumeration:
                 raise IndexError(f"group exhausted before index {index}")
             self._cache.extend(layer)
         return self._cache[index]
-
-    def index_of(self, g: Element, scan_limit: int = 200_000) -> int:
-        for i in range(scan_limit):
-            if self.element(i) == g:
-                return i
-        raise IndexError(f"{encode(g)} not found in the first {scan_limit} enumerated elements")
 
 
 def word_ball(g: GroupDescriptor, r: int, size_cap: int = 1_000_000) -> set[Element]:

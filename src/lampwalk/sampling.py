@@ -5,8 +5,11 @@ the exponent is a knob).  Y is "red" with probability exactly 2**-K, sampled
 by exact bit blocks.  On blue steps two independent uniform box elements are
 drawn by unranking uniform indices, and the increment is
 
-    X = (f1 b1 psi1(f2) b2,  f2 b1' psi2(f1) b2')         (asymmetric)
+    X = (f1 b1 f2 b2,  f2 b1' f1 b2')                     (asymmetric)
     X = (same)^sigma, red: (c1, c2)^sigma                 (symmetric)
+
+(``Level.blue_increment``; each marginal is f b1 s b2 with f, s independent
+and uniform on the level box, while the pair stays coupled.)
 
 Element materialization is capped: steps whose level exceeds the cap keep
 exact (k, y, sigma) metadata but no group element, since deep-level boxes are
@@ -64,10 +67,6 @@ class KDistribution:
         return bisect.bisect_right(self._cum, rng.random()) + 1
 
 
-def sample_k(kdist: KDistribution, rng) -> int:
-    return kdist.sample(rng)
-
-
 def sample_y(k: int, rng) -> str:
     """'red' with probability exactly 2**-k, by 64-bit rejection blocks."""
     while k >= 64:
@@ -116,24 +115,7 @@ def sample_x(
     box = level.box()
     f1 = box.unrank(rng.randrange(box.size()))
     f2 = box.unrank(rng.randrange(box.size()))
-    x = _blue_increment(c, k, f1, f2, sigma)
-    return CoupledStep(k, y, sigma, f1=f1, f2=f2, x=x)
-
-
-def _blue_increment(c: Construction, k: int, f1, f2, sigma: int) -> ProductElement:
-    level = c.level(k)
-    g1 = multiply(
-        multiply(multiply(f1, level.factor(1).b1), c.psi_apply(1, k, f2)),
-        level.factor(1).b2,
-    )
-    g2 = multiply(
-        multiply(multiply(f2, level.factor(2).b1), c.psi_apply(2, k, f1)),
-        level.factor(2).b2,
-    )
-    x = ProductElement(g1, g2)
-    if sigma == -1:
-        x = inverse(x)
-    return x
+    return CoupledStep(k, y, sigma, f1=f1, f2=f2, x=level.blue_increment(f1, f2, sigma))
 
 
 @dataclass
@@ -234,7 +216,7 @@ def _blue_parses(c: Construction, k: int, g: ProductElement):
     out = []
     for f1 in box.iter_elements():
         for f2 in box.iter_elements():
-            if _blue_increment(c, k, f1, f2, 1) == g:
+            if level.blue_increment(f1, f2) == g:
                 out.append((f1, f2))
     return out
 
@@ -276,7 +258,7 @@ def support_enumeration(c: Construction, kdist: KDistribution) -> list[ProductEl
             raise OracleRangeError(f"level {k} box too large for support enumeration")
         reds = [ProductElement(level.factor(1).c, level.factor(2).c)]
         blues = [
-            _blue_increment(c, k, f1, f2, 1)
+            level.blue_increment(f1, f2)
             for f1 in box.iter_elements()
             for f2 in box.iter_elements()
         ]

@@ -156,14 +156,6 @@ class SkewBox:
         return explicit(group, self.iter_elements(size_cap))
 
 
-def rank_in(box: SkewBox, f: LamplighterElement) -> int:
-    return box.rank(f)
-
-
-def unrank(box: SkewBox, index: int) -> LamplighterElement:
-    return box.unrank(index)
-
-
 # -- bound certificates -------------------------------------------------------
 
 
@@ -338,8 +330,9 @@ def folner_for(
         |AF \\ F| <= sum_g |gF \\ F| <= card_bound * W_max * 2^n < delta * |F|.
 
     When the set is materialized the per-element numerators are summed
-    exactly instead of using card_bound * W_max.  A doubling search finds the
-    least n; the predicate is monotone so the search is exact.
+    exactly instead of using card_bound * W_max.  With delta = num/den the
+    condition total/n < num/den is total*den < n*num, linear in n, so the
+    least n is total*den // num + 1.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -350,27 +343,4 @@ def folner_for(
         if card_bound is None:
             card_bound = cert.box_size()
         total = card_bound * worst_loss_numer(cert)
-
-    num, den = delta.numerator, delta.denominator
-
-    def ok(n: int) -> bool:
-        # total / n < num / den, by integer cross-multiplication
-        return total * den < n * num
-
-    if ok(1):
-        return SkewBox(1)
-    # the predicate is monotone in n, so doubling plus bisection lands on the
-    # minimum; for very large totals jump straight to the closed form
-    if total.bit_length() > 512:
-        return SkewBox((total * den) // num + 1)
-    n = 1
-    while not ok(n):
-        n *= 2
-    lo, hi = n // 2, n  # not ok(lo), ok(hi)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return SkewBox(hi)
+    return SkewBox(total * delta.denominator // delta.numerator + 1)

@@ -32,7 +32,7 @@ from typing import Optional
 from .construction import Construction
 from .errors import MembershipError, SizeCapError
 from .groups import Element, ProductElement, encode, inverse, is_identity, multiply
-from .sampling import KDistribution, _blue_increment
+from .sampling import KDistribution
 from .setalg import (
     certify,
     certify_power,
@@ -139,7 +139,7 @@ def exact_joint_pmf(c: Construction, kdist: KDistribution) -> SparsePMF:
         blue_w = pk * (1.0 - red_p) / (box.size() ** 2) * sig
         for f1 in box.iter_elements():
             for f2 in box.iter_elements():
-                g = _blue_increment(c, k, f1, f2, 1)
+                g = level.blue_increment(f1, f2)
                 add(g, blue_w)
                 if half:
                     add(inverse(g), blue_w)

@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 
 from .analysis import WindowOracle
-from .construction import Construction
+from .construction import Construction, folner_delta
 from .errors import LampwalkError, OracleRangeError
 from .groups import encode, inverse
 from .sampling import KDistribution, pmf_eval, support_enumeration
-from .setalg import explicit, power_set, symmetrize
-from .switchers import is_superswitcher, is_switcher
 from .tvbound import exact_joint_pmf
 
 PMF_REL_TOL = 1e-12
@@ -78,37 +76,16 @@ def _check_core_nesting(c: Construction):
 
 def _check_switchers(c: Construction):
     out = []
-    cfg = c.config
-    sym = c.mode == "symmetric"
-    for i in range(1, min(c.max_built, cfg.brute_level_cap) + 1):
+    for i in range(1, min(c.max_built, c.config.brute_level_cap) + 1):
         level = c.levels[i - 1]
         box = level.box()
         if box.n.bit_length() > 16 or box.size() > 512:
             out.append((f"switcher-brute-L{i}", True, "box too large; certificate mode"))
             continue
-        fbox = box.as_explicit(c.factor_group, cfg.size_cap)
-        if sym:
-            fbox = symmetrize(fbox)
-        for j in (1, 2):
-            fl = level.factor(j)
-            base = explicit(c.factor_group, set(c.a_core(j, i)) | fbox.elements)
-            step3 = power_set(base, cfg.brute_power, size_cap=cfg.size_cap)
-            check = is_superswitcher if sym else is_switcher
-            rep = check(fl.b1, step3)
+        for name, req, rep in c.switcher_scans(level):
             out.append((
-                f"switcher-inner-L{i}j{j}", rep.passed,
-                f"brute scan over {len(step3)}^2 pairs"
-                + ("" if rep.passed else f"; witness {rep.witness}"),
-            ))
-            extra = {fl.b1, inverse(fl.b1)} if sym else {fl.b1}
-            step4 = power_set(
-                explicit(c.factor_group, base.elements | extra),
-                cfg.brute_power, size_cap=cfg.size_cap,
-            )
-            rep = check(fl.b2, step4)
-            out.append((
-                f"switcher-outer-L{i}j{j}", rep.passed,
-                f"brute scan over {len(step4)}^2 pairs"
+                name, rep.passed,
+                f"brute scan over {len(req)}^2 pairs"
                 + ("" if rep.passed else f"; witness {rep.witness}"),
             ))
     return out
@@ -160,7 +137,6 @@ def _check_folner(c: Construction):
     out = []
     for level in c.levels:
         ratio = level.folner_ratio
-        prof_delta = c.profile.delta(level.index)
         if ratio is None:
             out.append((
                 f"folner-L{level.index}", True,
@@ -168,11 +144,11 @@ def _check_folner(c: Construction):
                 if level.folner_certified else "box recorded without a ratio",
             ))
             continue
-        if level.folner_certified and prof_delta is not None:
-            ok = ratio < prof_delta
+        if level.folner_certified:
+            delta = folner_delta(level.index)
             out.append((
-                f"folner-L{level.index}", ok,
-                f"exact ratio {float(ratio):.6g} vs delta {float(prof_delta):.6g}",
+                f"folner-L{level.index}", ratio < delta,
+                f"exact ratio {float(ratio):.6g} vs delta {float(delta):.6g}",
             ))
         else:
             out.append((

@@ -56,10 +56,12 @@ from lampwalk.switchers import (
 )
 from lampwalk.tvbound import (
     certified_marginal_bound,
+    exact_joint_pmf,
     exact_marginal,
     translate,
     tv,
 )
+from lampwalk.verify import PMF_REL_TOL
 
 LAMP = lamplighter_group()
 CONTROL = abelian_control_group()
@@ -343,12 +345,16 @@ def test_criterion_6_liouville(paper_asym, mini_asym_small, mini_sym_small):
 
 
 def test_criterion_7_symmetry(mini_sym_small):
+    # the parsed nu(g) averages g and g^-1, so it is checked against the
+    # forward enumeration of the step law, on a support closed under inverse
     kd2 = KDistribution(truncation=2)
     support = support_enumeration(mini_sym_small, kd2)
+    assert {inverse(g) for g in support} == set(support)
+    forward = exact_joint_pmf(mini_sym_small, kd2)
     for g in support:
-        assert pmf_eval(mini_sym_small, g, kd2) == pmf_eval(
-            mini_sym_small, inverse(g), kd2
-        ), f"nu({encode(g)}) differs from its inverse"
+        assert math.isclose(
+            pmf_eval(mini_sym_small, g, kd2), forward.prob(g), rel_tol=PMF_REL_TOL
+        ), f"parsed nu({encode(g)}) differs from the forward law"
 
     kd1 = KDistribution(truncation=1)
     rng = random.Random(107)
@@ -365,9 +371,9 @@ def test_criterion_7_symmetry(mini_sym_small):
     verdict(
         7,
         tv_self < tol,
-        f"pmf inversion-invariant exactly on all {len(support)} support "
-        f"elements; empirical sampler self-symmetry TV {tv_self:.5f} < {tol:.5f} "
-        f"at N=10^6",
+        f"parsed pmf matches the forward law (rel tol {PMF_REL_TOL:g}) on all "
+        f"{len(support)} support elements, a set closed under inverse; empirical "
+        f"sampler self-symmetry TV {tv_self:.5f} < {tol:.5f} at N=10^6",
     )
 
 
@@ -385,11 +391,8 @@ def test_criterion_8_marginal_factorization(mini_asym, mini_sym):
                 coupled = {}
                 for f1 in box.iter_elements():
                     for f2 in box.iter_elements():
-                        own, other = (f1, f2) if j == 1 else (f2, f1)
-                        g = multiply(
-                            multiply(multiply(own, fl.b1), c.psi_apply(j, k, other)),
-                            fl.b2,
-                        )
+                        x = level.blue_increment(f1, f2)
+                        g = x.left if j == 1 else x.right
                         coupled[g] = coupled.get(g, 0) + 1
                 factored = {}
                 for f in box.iter_elements():

@@ -118,9 +118,15 @@ def test_verify_rejects_truncated_file(tmp_path):
 
 
 def test_build_rejects_bad_level(tmp_path):
-    proc = run(["build", "--max-level", "0", "--out", "x.lwc"], tmp_path, check=False)
-    assert proc.returncode == 2
-    assert "--max-level must be >= 1" in proc.stderr
+    for flags, message in (
+        (["--max-level", "0"], "--max-level must be >= 1"),
+        (["--mini-box-cap", "0"], "--mini-box-cap must be in 1..2"),
+        (["--mini-box-cap", "3"], "--mini-box-cap must be in 1..2"),
+    ):
+        proc = run(["build", *flags, "--out", "x.lwc"], tmp_path, check=False)
+        assert proc.returncode == 2, flags
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_verify_switcher_subcommand(tmp_path):

@@ -1,5 +1,6 @@
 """Level schedules: building, certificates, persistence, membership."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,12 @@ def test_mini_brute_verification_at_build(mini_asym, mini_sym):
             assert check(lv.factor(j).b1, step3).passed
 
 
+@pytest.mark.parametrize("cap", [0, 3])
+def test_mini_box_cap_out_of_range_rejected(cap):
+    with pytest.raises(ValueError, match="mini box cap"):
+        Construction("asymmetric", "mini", Config(mini_box_cap=cap))
+
+
 def test_core_nesting_and_exactness(mini_asym):
     for j in (1, 2):
         c1 = set(mini_asym.a_core(j, 1))
@@ -111,18 +118,6 @@ def test_membership_levels_of_generators(mini_asym):
     assert c.membership_level(2, LAMP_S_INV) == 5
     assert c.membership_level(2, LAMP_A) == 6
     assert c.membership_level(2, LAMP_S) == 7
-
-
-def test_psi_is_rank_preserving_bijection(mini_asym):
-    c = mini_asym
-    box = c.box(2)
-    seen = set()
-    for f in box.iter_elements():
-        s = c.psi_apply(1, 2, f)
-        assert c.psi_invert(1, 2, s) == f
-        assert s == box.unrank(box.rank(f))
-        seen.add(s)
-    assert len(seen) == box.size()
 
 
 def test_determinism_two_builds():
@@ -171,6 +166,20 @@ def test_corrupt_field_rejected(tmp_path, mini_asym):
     text = path.read_text().replace("b1: 2|1", "b1: 3|1", 1)
     path.write_text(text)
     with pytest.raises(CorruptFileError):
+        Construction.load(path)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("mini-box-cap: 2", "mini-box-cap: 3"),
+    ("size-cap: 1000000", "size-cap: many"),
+    ("schedule: mini", "schedule: tiny"),
+])
+def test_bad_header_value_rejected(tmp_path, mini_asym, old, new):
+    # the integrity line is recomputed, so only the header check can object
+    body = mini_asym.serialize().rsplit("sha256: ", 1)[0].replace(old, new, 1)
+    path = tmp_path / "c.lwc"
+    path.write_text(body + f"sha256: {hashlib.sha256(body.encode()).hexdigest()}\n")
+    with pytest.raises(CorruptFileError, match="bad header"):
         Construction.load(path)
 
 

@@ -1,6 +1,7 @@
 """Exact arithmetic, encoding, and enumeration for the three group kinds."""
 
 import random
+import sys
 
 import pytest
 
@@ -143,6 +144,15 @@ def test_encode_examples():
     assert encode(LamplighterElement((), -1)) == "-1|"
     assert encode(ProductElement(LAMP_A, LAMP_S)) == "(0|0;1|)"
     assert encode(AbelianControlElement(-3, 7)) == "-3,7"
+
+
+def test_encode_past_digit_limit_is_a_lampwalk_error():
+    # a cursor of 4*limit bits has about 1.2*limit decimal digits
+    big = LamplighterElement((), 1 << (4 * sys.get_int_max_str_digits()))
+    with pytest.raises(SizeCapError, match="decimal digits"):
+        encode(big)
+    with pytest.raises(SizeCapError):
+        encode(ProductElement(LAMP_A, big))
 
 
 @pytest.mark.parametrize("lamps", [(1, 0), (0, 0)])

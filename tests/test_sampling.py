@@ -9,11 +9,12 @@ from lampwalk.sampling import (
     KDistribution,
     ky_walk,
     pmf_eval,
-    sample_k,
     sample_y,
     support_enumeration,
     walk,
 )
+from lampwalk.tvbound import exact_joint_pmf
+from lampwalk.verify import PMF_REL_TOL
 
 
 def test_normalizer_against_partial_sum_oracle():
@@ -37,7 +38,7 @@ def test_k_sampling_frequency_within_4_sigma():
     kd = KDistribution(truncation=10**6)
     rng = random.Random(20)
     n = 10**6
-    hits = sum(1 for _ in range(n) if sample_k(kd, rng) == 1)
+    hits = sum(1 for _ in range(n) if kd.sample(rng) == 1)
     p = kd.pmf(1)
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(hits - n * p) < 4 * sigma
@@ -113,7 +114,7 @@ def test_max_level_tail_against_direct_k_oracle():
     walk_maxima = [max(s.k for s in ky_walk(horizon, rng, kd).steps) for _ in range(n_traj)]
     rng2 = random.Random(28)
     oracle_maxima = [
-        max(sample_k(kd, rng2) for _ in range(horizon)) for _ in range(n_traj)
+        max(kd.sample(rng2) for _ in range(horizon)) for _ in range(n_traj)
     ]
     for threshold in (10, 100, 1000**3):
         p_walk = sum(m > threshold for m in walk_maxima) / n_traj
@@ -161,11 +162,17 @@ def test_pmf_matches_empirical_tv(mini_asym_small):
 
 
 def test_symmetric_pmf_exactly_symmetric(mini_sym_small):
+    # pmf_eval averages g and g^-1, so it is symmetric by construction; it
+    # must also agree with the forward enumeration of the sampler's branches
+    # on a support closed under inverse
+    c = mini_sym_small
     kd = KDistribution(truncation=2)
-    support = support_enumeration(mini_sym_small, kd)
+    support = support_enumeration(c, kd)
     assert support
+    assert {inverse(g) for g in support} == set(support)
+    forward = exact_joint_pmf(c, kd)
     for g in support:
-        assert pmf_eval(mini_sym_small, g, kd) == pmf_eval(mini_sym_small, inverse(g), kd)
+        assert math.isclose(pmf_eval(c, g, kd), forward.prob(g), rel_tol=PMF_REL_TOL)
 
 
 def test_marginal_factorization_exact(mini_asym):
@@ -179,9 +186,7 @@ def test_marginal_factorization_exact(mini_asym):
         lhs = {}
         for f1 in box.iter_elements():
             for f2 in box.iter_elements():
-                g = multiply(
-                    multiply(multiply(f1, fl.b1), c.psi_apply(1, k, f2)), fl.b2
-                )
+                g = lv.blue_increment(f1, f2).left
                 lhs[g] = lhs.get(g, 0) + 1
         rhs = {}
         for f in box.iter_elements():

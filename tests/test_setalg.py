@@ -30,13 +30,12 @@ from lampwalk.setalg import (
     folner_for,
     power_set,
     product_set,
-    rank_in,
     skewbox_loss,
     skewbox_overlap,
     subadditive_folner_bound,
     symmetrize,
-    unrank,
     verify_folner,
+    worst_loss_numer,
 )
 
 LAMP = lamplighter_group()
@@ -121,20 +120,23 @@ def test_box_contents_n3():
 
 
 def test_rank_unrank_inverse_exhaustive():
-    box = SkewBox(3)
-    for i in range(box.size()):
-        assert rank_in(box, unrank(box, i)) == i
+    for n in (1, 2, 3):
+        box = SkewBox(n)
+        for i in range(box.size()):
+            assert box.rank(box.unrank(i)) == i
+        for f in box.iter_elements():
+            assert box.unrank(box.rank(f)) == f
 
 
 def test_unrank_zero():
-    assert unrank(SkewBox(5), 0) == LamplighterElement((), -4)
+    assert SkewBox(5).unrank(0) == LamplighterElement((), -4)
 
 
 def test_rank_rejects_outsiders():
     with pytest.raises(MembershipError):
-        rank_in(SkewBox(2), LamplighterElement((), 1))
+        SkewBox(2).rank(LamplighterElement((), 1))
     with pytest.raises(MembershipError):
-        unrank(SkewBox(2), 8)
+        SkewBox(2).unrank(8)
 
 
 def test_uniform_sampling_tv():
@@ -277,3 +279,19 @@ def test_folner_for_output_verifies():
         sharper = folner_for(certify(a), delta, elements=a)
         assert verify_folner(a, sharper, delta).passed
         assert sharper.n <= box.n
+
+
+def test_folner_for_returns_least_n():
+    # the box condition total*den < n*num is linear in n; folner_for must
+    # return its least solution, for small totals and for one above 2^512
+    rng = random.Random(31)
+    cases = [(BoundCertificate(rng.randrange(4), rng.randrange(4)),
+              Fraction(rng.randrange(1, 9), rng.randrange(1, 9)),
+              rng.randrange(1, 10**6))
+             for _ in range(200)]
+    cases.append((BoundCertificate(3, 2), Fraction(1, 3), 2**520 + 12345))
+    for cert, delta, card in cases:
+        total = card * worst_loss_numer(cert)
+        n = folner_for(cert, delta, card_bound=card).n
+        assert total < n * delta
+        assert n == 1 or not total < (n - 1) * delta

@@ -1,6 +1,12 @@
 """The verification suite: verdicts, and one window index per (level, prime)."""
 
+import dataclasses
+
+import pytest
+
 from lampwalk import verify
+from lampwalk.construction import Config, Construction
+from lampwalk.errors import ScheduleLimitError
 
 
 def test_suite_builds_each_window_index_once(mini_sym_small, monkeypatch):
@@ -39,3 +45,18 @@ def test_suite_builds_each_window_index_once(mini_sym_small, monkeypatch):
         ("folner-L2", True),
         ("pmf-symmetry", True),
     ]
+
+
+def test_switcher_scan_failure_is_reported():
+    # the identity is no switcher: e * b1 * e lands back in A
+    c = Construction("asymmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+    c.build_to(1)
+    level = c.levels[0]
+    bad = dataclasses.replace(level.factor(1), b1=c.identity)
+    level.factors = (bad, level.factor(2))
+    with pytest.raises(ScheduleLimitError, match="switcher-inner-L1j1 failed"):
+        c._brute_verify(level)
+    rows = {name: (ok, detail) for name, ok, detail in verify.run_verification_suite(c)}
+    ok, detail = rows["switcher-inner-L1j1"]
+    assert not ok and "; witness (" in detail
+    assert rows["switcher-inner-L1j2"][0] and rows["switcher-outer-L1j2"][0]
