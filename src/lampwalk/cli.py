@@ -160,10 +160,10 @@ def cmd_build(args) -> int:
                 f" b1={_short(fl.b1)} b2={_short(fl.b2)} c={_short(fl.c)}"
             )
     out = Path(args.out)
-    c.save(out)
-    manifest = _manifest(args, c.digest())
+    construction_digest = c.save(out)
+    manifest = _manifest(args, construction_digest)
     digest = manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
-    print(f"saved {out} (construction {c.digest()[:12]}, manifest {digest[:12]})")
+    print(f"saved {out} (construction {construction_digest[:12]}, manifest {digest[:12]})")
     return 0
 
 
@@ -176,7 +176,7 @@ def cmd_sample(args) -> int:
     c = Construction.load(args.construction)
     kdist = KDistribution(truncation=args.truncation_level)
     out_dir = _out_dir(args)
-    manifest = _manifest(args, c.digest())
+    manifest = _manifest(args, c.file_digest)
     digest = manifest.write(out_dir / "manifest.json")
     for idx in range(args.n_traj):
         rng = trajectory_rng(args.seed, idx)
@@ -197,7 +197,7 @@ def cmd_analyze(args) -> int:
     for path in args.trajectories:
         traj = read_trajectory_csv(path)
         reports.append(trajectory_report(traj, c, freeness))
-    manifest = _manifest(args, c.digest() if c else "")
+    manifest = _manifest(args, c.file_digest if c else "")
     out = Path(args.out)
     write_analysis_json(out, reports, manifest.digest())
     stabilized = sum(1 for r in reports if r["stabilization_time"] is not None)
@@ -218,17 +218,20 @@ def cmd_tv(args) -> int:
     kdist = KDistribution(truncation=args.truncation_level)
     gens = _split_elements(args.generators) or DEFAULT_GENERATORS
     grid = [int(x) for x in args.n_grid.split(",")]
+    # the exact marginal depends on n alone, not on the generator
+    marginals = {
+        n: exact_marginal(c, args.factor, n, kdist)
+        for n in grid if args.oracle and n <= args.oracle_n_cap
+    }
     rows = []
     for text in gens:
         h = decode(text)
         for n in grid:
             report = certified_marginal_bound(c, h, n, j=args.factor, kdist=kdist)
-            exact = None
-            if args.oracle and n <= args.oracle_n_cap:
-                marginal = exact_marginal(c, args.factor, n, kdist)
-                exact = tv(translate(h, marginal), marginal)
+            marginal = marginals.get(n)
+            exact = None if marginal is None else tv(translate(h, marginal), marginal)
             rows.append((report, exact))
-    manifest = _manifest(args, c.digest())
+    manifest = _manifest(args, c.file_digest)
     out = Path(args.out)
     write_tv_curve(out, rows, manifest.digest())
     for report, exact in rows:
@@ -278,7 +281,7 @@ def cmd_inspect(args) -> int:
     print(f"mode: {c.mode}")
     print(f"schedule: {c.schedule}")
     print(f"levels built: {c.max_built}")
-    print(f"digest: {c.digest()}")
+    print(f"digest: {c.file_digest}")
     for level in c.levels:
         n_text = str(level.n) if level.n.bit_length() <= 64 else f"~2^{level.n.bit_length() - 1}"
         print(f"level {level.index}: box n={n_text}")

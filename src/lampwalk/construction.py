@@ -217,6 +217,9 @@ class Construction:
         self._core_index = ({self.identity: 0}, {self.identity: 0})
         start = _FactorState(cert=BoundCertificate(0, 0), card=1, core_len=1, exact=True)
         self._state = (start, _FactorState(**vars(start)))
+        # the verified sha256 of the file this was read from; growing the
+        # construction later leaves it naming that file
+        self.file_digest: Optional[str] = None
 
     # -- building -------------------------------------------------------------
 
@@ -489,10 +492,12 @@ class Construction:
 
     # -- persistence --------------------------------------------------------------
 
-    def save(self, path) -> None:
+    def save(self, path) -> str:
+        """Write ``serialize()`` to ``path``; return the sha256 digest it carries."""
         text = self.serialize()
         with open(path, "w") as fh:
             fh.write(text)
+        return text.rsplit("sha256: ", 1)[1].strip()
 
     def serialize(self) -> str:
         lines = [FORMAT_VERSION, f"mode: {self.mode}", f"schedule: {self.schedule}"]
@@ -534,9 +539,6 @@ class Construction:
         digest = hashlib.sha256(body.encode()).hexdigest()
         return body + f"sha256: {digest}\n"
 
-    def digest(self) -> str:
-        return self.serialize().rsplit("sha256: ", 1)[1].strip()
-
     @classmethod
     def load(cls, path) -> "Construction":
         with open(path) as fh:
@@ -548,7 +550,8 @@ class Construction:
         if "sha256: " not in text:
             raise CorruptFileError("missing integrity line (file truncated?)")
         body, digest_line = text.rsplit("sha256: ", 1)
-        if hashlib.sha256(body.encode()).hexdigest() != digest_line.strip():
+        digest = digest_line.strip()
+        if hashlib.sha256(body.encode()).hexdigest() != digest:
             raise CorruptFileError("sha256 mismatch: file corrupt or truncated")
         lines = body.splitlines()
         reader = _Reader(lines)
@@ -601,6 +604,7 @@ class Construction:
                 out._core_append(j, g)
             states.append(_FactorState(cert, card, len(out._core_lists[j - 1]), exact))
         out._state = tuple(states)
+        out.file_digest = digest
         return out
 
 

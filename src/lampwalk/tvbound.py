@@ -12,11 +12,15 @@ level-k box, so
                               + E[ 2(|h q1 F \\ F| + |q1 F \\ F|) / |F| ]
 
 The record-failure probability is computed by exact dynamic programming over
-the running maximum; the loss expectation uses the exact box loss of h at
-first-step records and sound window-certificate bounds otherwise.  Levels
-past the built range use the schedule guarantee (the box chosen at level k
-makes every single element of A^(k+1) lose less than (1/k) / card-bound of
-its set, which is astronomically small from level 4 on).
+the running maximum.  A draw above the running maximum is a strict record
+whatever the maximum was, so each step's transitions factor through one
+running sum of the states below the drawn level: a step costs O(I) and the
+whole bound O(n I) for truncation level I.  The loss expectation uses the
+exact box loss of h at first-step records and sound window-certificate bounds
+otherwise.  Levels past the built range use the schedule guarantee (the box
+chosen at level k makes every single element of A^(k+1) lose less than
+(1/k) / card-bound of its set, which is astronomically small from level 4
+on).
 
 Everything here upper-bounds the true total-variation distance; the mini
 schedule's convolution oracle checks that inequality exactly at small n.
@@ -37,7 +41,6 @@ from .setalg import (
     certify,
     certify_power,
     certify_product,
-    explicit,
     worst_loss_numer,
     _loss_numer,
 )
@@ -191,8 +194,11 @@ def _ratio_float_up(num: int, den: int) -> float:
     return min(2.0, (num / den) * (1.0 + 1e-12))
 
 
-def _level_loss(c: Construction, h, j: int, m: int, k: int) -> float:
-    """Sound bound on 2(|h q1 F\\F| + |q1 F\\F|)/|F| at a level-k record."""
+def _level_loss(c: Construction, h, h_cert, j: int, m: int, k: int) -> float:
+    """Sound bound on 2(|h q1 F\\F| + |q1 F\\F|)/|F| at a level-k record.
+
+    ``h_cert`` is ``certify([h])``, which the caller computes once per bound.
+    """
     if is_identity(h):
         return 0.0  # h * kappa = kappa exactly
     if k > c.max_built:
@@ -210,7 +216,6 @@ def _level_loss(c: Construction, h, j: int, m: int, k: int) -> float:
         return _ratio_float_up(2 * min(n, _loss_numer(h)), n)
     a_cert = level.factor(j).a_cert
     q_cert = certify_power(a_cert, m - 1)
-    h_cert = certify(explicit(c.factor_group, [h]))
     wa = worst_loss_numer(certify_product(h_cert, q_cert))
     wb = worst_loss_numer(q_cert)
     return _ratio_float_up(2 * (min(n, wa) + min(n, wb)), n)
@@ -227,7 +232,14 @@ def certified_marginal_bound(
 
     The record-failure probability comes from exact dynamic programming over
     the running level maximum; the loss term sums first-good-record
-    probabilities against per-level certified box losses.
+    probabilities against per-level certified box losses.  With state[v] the
+    probability of no good record yet and running maximum v, step m maps
+
+        nxt[k] = state[k] P(K <= k) + below_k p_k (1 - eligible_k blue_k sigma)
+        good  += below_k p_k blue_k sigma        (eligible k only)
+
+    where below_k = sum_{v<k} state[v] is a running sum, so each step costs
+    O(I) and the bound O(n I) for truncation I.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -241,6 +253,7 @@ def certified_marginal_bound(
             f"{encode(h)} needs an absorbing level beyond this construction's "
             f"membership horizon: {exc}"
         ) from exc
+    h_cert = certify([h])
     trunc = kdist.truncation
     pmf = kdist.pmf_vector()
     prefix = [0.0]
@@ -256,34 +269,30 @@ def certified_marginal_bound(
     except ScheduleLimitError:
         pass
 
-    # state[v] = P(no good record yet, running max = v); v = 0 means no draws
+    # state[v] = P(no good record yet, running max = v); v = 0 means no draws.
+    # A draw k > v is a strict record whatever v is, so every transition into
+    # k from below factors through below = sum(state[v] for v < k).
+    blue = [1.0 - 2.0 ** -k for k in range(trunc + 1)]
     state = [0.0] * (trunc + 1)
     state[0] = 1.0
     loss_total = 0.0
     good_total = 0.0
-    loss_cache: dict = {}
     for m in range(1, n + 1):
-        nxt = [0.0] * (trunc + 1)
-        for v in range(trunc + 1):
-            pv = state[v]
-            if pv == 0.0:
-                continue
-            nxt[v] += pv * prefix[v]
-            for k in range(max(v + 1, 1), trunc + 1):
-                pk = pmf[k - 1]
-                if pk == 0.0:
-                    continue
-                eligible = k >= m_h and m <= k + 1
-                if eligible:
-                    blue = 1.0 - 2.0 ** -k
-                    good = pv * pk * blue * sig
+        nxt = [0.0] * (trunc + 1)  # nxt[0] stays 0: every step draws k >= 1
+        below = state[0]
+        for k in range(1, trunc + 1):
+            pk = pmf[k - 1]
+            if below != 0.0 and pk != 0.0:
+                step = below * pk
+                if k >= m_h and m <= k + 1:
+                    good = step * blue[k] * sig
                     good_total += good
-                    if (m, k) not in loss_cache:
-                        loss_cache[m, k] = _level_loss(c, h, j, m, k)
-                    loss_total += good * loss_cache[m, k]
-                    nxt[k] += pv * pk * (1.0 - blue * sig)
+                    loss_total += good * _level_loss(c, h, h_cert, j, m, k)
+                    nxt[k] = step * (1.0 - blue[k] * sig)
                 else:
-                    nxt[k] += pv * pk
+                    nxt[k] = step
+            nxt[k] += state[k] * prefix[k]
+            below += state[k]
         state = nxt
     failure = 2.0 * math.fsum(state)
     bound = min(2.0, failure + loss_total)

@@ -158,3 +158,66 @@ def test_config_file_with_flag_override(tmp_path):
     # the flag wins over the config file and the effective value is recorded
     assert manifest["config"]["horizon"] == "30"
     assert manifest["config"]["n-traj"] == "1"
+
+
+def run_in_process(argv, monkeypatch):
+    """cli.main(argv) in this process, with sys.argv set as a shell run sets it."""
+    from lampwalk import cli
+
+    monkeypatch.setattr(sys, "argv", ["lampwalk", *argv])
+    assert cli.main(argv) == 0, argv
+
+
+MINI_BUILD = ["build", "--schedule", "mini", "--mini-box-cap", "1", "--max-level", "2",
+              "--out", "m.lwc"]
+
+
+def test_tv_manifest_names_the_loaded_file(tmp_path, monkeypatch):
+    # tv grows the loaded 2-level construction to 30 levels; its manifest must
+    # still carry the digest of m.lwc, not that of the grown construction
+    from lampwalk import cli
+
+    monkeypatch.chdir(tmp_path)
+    run_in_process(MINI_BUILD, monkeypatch)
+    file_digest = (tmp_path / "m.lwc").read_text().rsplit("sha256: ", 1)[1].strip()
+    argv = ["tv", "m.lwc", "--truncation-level", "30", "--out", "tv.csv"]
+    run_in_process(argv, monkeypatch)
+    want = cli.Manifest(
+        command=argv,
+        config=cli._effective_config(cli.build_parser().parse_args(argv)),
+        seed=0,
+        construction_digest=file_digest,
+    )
+    first = (tmp_path / "tv.csv").read_text().splitlines()[0]
+    assert first == f"# manifest {want.digest()}"
+
+
+def test_only_build_and_verify_serialize(tmp_path, monkeypatch):
+    # the CLI stamps the digest that save wrote or load verified; re-serializing
+    # a 600-level construction just to hash it again was most of build's time
+    from lampwalk.construction import Construction
+
+    calls = []
+    serialize = Construction.serialize
+
+    def counted(self):
+        calls.append(self)
+        return serialize(self)
+
+    monkeypatch.setattr(Construction, "serialize", counted)
+    monkeypatch.chdir(tmp_path)
+    stages = [
+        (MINI_BUILD, 1),
+        (["sample", "m.lwc", "--n-traj", "2", "--horizon", "20", "--truncation-level", "100",
+          "--x-level-cap", "100", "--out-dir", "runs"], 0),
+        (["analyze", "runs/trajectory-0000.csv", "runs/trajectory-0001.csv",
+          "--construction", "m.lwc", "--freeness", "(0|0;0|)", "--out", "analysis.json"], 0),
+        (["tv", "m.lwc", "--n-grid", "2,4", "--truncation-level", "2", "--oracle",
+          "--out", "tv.csv"], 0),
+        (["inspect", "m.lwc"], 0),
+        (["verify", "m.lwc"], 2),  # the rebuild check compares two serializations
+    ]
+    for argv, want in stages:
+        calls.clear()
+        run_in_process(argv, monkeypatch)
+        assert len(calls) == want, argv[0]

@@ -145,10 +145,14 @@ def test_loaded_construction_extends_identically(tmp_path):
     b = Construction("asymmetric", "mini", cfg)
     b.build_to(2)
     path = tmp_path / "partial.lwc"
-    b.save(path)
+    digest = b.save(path)
+    assert digest == path.read_text().rsplit("sha256: ", 1)[1].strip()
+    assert b.file_digest is None  # built, not loaded
     loaded = Construction.load(path)
+    assert loaded.file_digest == digest
     loaded.build_to(3)
     assert loaded.serialize() == a.serialize()
+    assert loaded.file_digest == digest  # still names the file it was read from
 
 
 def test_truncated_file_rejected(tmp_path, mini_asym):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from lampwalk.construction import Config, Construction
 from lampwalk.errors import SizeCapError
 from lampwalk.groups import (
     LAMP_A,
@@ -16,9 +17,11 @@ from lampwalk.groups import (
     multiply,
 )
 from lampwalk.sampling import KDistribution, walk
-from lampwalk.setalg import SkewBox
+from lampwalk.setalg import SkewBox, certify
 from lampwalk.tvbound import (
     SparsePMF,
+    _buildable_goal,
+    _level_loss,
     certified_marginal_bound,
     convolve,
     delta_pmf,
@@ -174,3 +177,75 @@ def test_bound_second_factor(paper_asym):
     report = certified_marginal_bound(paper_asym, LAMP_A, 100, j=2, kdist=kd)
     assert 0.0 < report.bound < 2.0
     assert report.membership_level == 6  # (e,a) is the fifth enumerated pair
+
+
+def _quadratic_bound(c, h, n, j, kdist):
+    """The O(n I^2) record DP, looping over every (running max v, draw k > v).
+
+    Kept as the reference for the running-sum DP of certified_marginal_bound;
+    returns (bound, record_failure_term, loss_term, conditional_loss).
+    """
+    m_h = c.membership_level(j, h)
+    h_cert = certify([h])
+    trunc = kdist.truncation
+    pmf = kdist.pmf_vector()
+    prefix = [0.0]
+    for p in pmf:
+        prefix.append(prefix[-1] + p)
+    sig = 0.5 if c.mode == "symmetric" else 1.0
+    state = [0.0] * (trunc + 1)
+    state[0] = 1.0
+    loss_total = 0.0
+    good_total = 0.0
+    loss_cache = {}
+    for m in range(1, n + 1):
+        nxt = [0.0] * (trunc + 1)
+        for v in range(trunc + 1):
+            pv = state[v]
+            if pv == 0.0:
+                continue
+            nxt[v] += pv * prefix[v]
+            for k in range(max(v + 1, 1), trunc + 1):
+                pk = pmf[k - 1]
+                if pk == 0.0:
+                    continue
+                if k >= m_h and m <= k + 1:
+                    blue = 1.0 - 2.0 ** -k
+                    good = pv * pk * blue * sig
+                    good_total += good
+                    if (m, k) not in loss_cache:
+                        loss_cache[m, k] = _level_loss(c, h, h_cert, j, m, k)
+                    loss_total += good * loss_cache[m, k]
+                    nxt[k] += pv * pk * (1.0 - blue * sig)
+                else:
+                    nxt[k] += pv * pk
+        state = nxt
+    failure = 2.0 * math.fsum(state)
+    cond = loss_total / good_total if good_total > 0 else 0.0
+    return min(2.0, failure + loss_total), failure, loss_total, cond
+
+
+@pytest.mark.parametrize("mode,schedule,cap", [
+    ("asymmetric", "paper", None),
+    ("asymmetric", "mini", 1),
+    ("symmetric", "mini", 1),
+    ("asymmetric", "mini", 2),
+])
+def test_linear_dp_matches_quadratic_reference(request, mode, schedule, cap):
+    if schedule == "paper":
+        c = request.getfixturevalue("paper_asym")  # the bound builds paper to 3 only
+    else:
+        # private: the bound grows a mini construction to min(I, 64) levels
+        c = Construction(mode, schedule, Config(brute_verify=False, mini_box_cap=cap))
+    gens = [decode(t) for t in ("0|0", "1|", "-1|", "0|0,1", "2|")]
+    for trunc in (2, 30, 100):
+        kd = KDistribution(truncation=trunc)
+        # grow first, so that both DPs see the same levels and membership
+        c.build_to(_buildable_goal(c, trunc))
+        for h in gens:
+            for n in (1, 2, 4, 10, 100, 1000):
+                r = certified_marginal_bound(c, h, n, kdist=kd)
+                got = (r.bound, r.record_failure_term, r.loss_term, r.conditional_loss)
+                want = _quadratic_bound(c, h, n, 1, kd)
+                for g, w in zip(got, want):
+                    assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0), (trunc, h, n, got, want)
