@@ -24,13 +24,14 @@ Two schedules exist:
   ratio is recorded instead of enforced.
 
 Levels are deterministic given (mode, schedule, config); two builds agree
-byte for byte.
+byte for byte, so a saved file holds only that recipe, the level count and
+the sha256 of the canonical body, and loading rebuilds the levels.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -43,7 +44,6 @@ from .groups import (
     LamplighterElement,
     LazyEnumeration,
     ProductElement,
-    decode,
     encode,
     inverse,
     is_identity,
@@ -73,7 +73,10 @@ from .switchers import (
     is_switcher,
 )
 
-FORMAT_VERSION = "lampwalk-construction v1"
+# the canonical body keeps its v1 first line, so the digests that files and
+# manifests carry stay fixed; a v2 file holds the recipe and that digest only
+BODY_VERSION = "lampwalk-construction v1"
+FORMAT_VERSION = "lampwalk-construction v2"
 
 # past this window-size bit length, n*2^n and set cardinalities stop being
 # representable and the schedule is at its desk-scale ceiling
@@ -126,17 +129,22 @@ class Config:
     membership_scan_cap: int = 100_000
 
     def as_lines(self):
-        return [
-            f"size-cap: {self.size_cap}",
-            f"core-block-cap: {self.core_block_cap}",
-            f"core-level-cap: {self.core_level_cap}",
-            f"folner-power-cap: {self.folner_power_cap}",
-            f"brute-verify: {'yes' if self.brute_verify else 'no'}",
-            f"brute-level-cap: {self.brute_level_cap}",
-            f"brute-power: {self.brute_power}",
-            f"mini-box-cap: {self.mini_box_cap}",
-            f"membership-scan-cap: {self.membership_scan_cap}",
-        ]
+        """One ``key: value`` line per field, in field order; flags read yes/no."""
+        lines = []
+        for name, value in asdict(self).items():
+            if isinstance(value, bool):
+                value = "yes" if value else "no"
+            lines.append(f"{name.replace('_', '-')}: {value}")
+        return lines
+
+    @classmethod
+    def from_header(cls, header: dict) -> "Config":
+        """The config whose ``as_lines`` a file header holds, as key -> text."""
+        texts = {f.name: header[f.name.replace("_", "-")] for f in fields(cls)}
+        return cls(**{
+            name: text == "yes" if isinstance(getattr(cls, name), bool) else int(text)
+            for name, text in texts.items()
+        })
 
 
 @dataclass
@@ -217,8 +225,8 @@ class Construction:
         self._core_index = ({self.identity: 0}, {self.identity: 0})
         start = _FactorState(cert=BoundCertificate(0, 0), card=1, core_len=1, exact=True)
         self._state = (start, _FactorState(**vars(start)))
-        # the verified sha256 of the file this was read from; growing the
-        # construction later leaves it naming that file
+        # the canonical digest recorded in the file this was read from;
+        # growing the construction later leaves it naming that file
         self.file_digest: Optional[str] = None
 
     # -- building -------------------------------------------------------------
@@ -492,21 +500,25 @@ class Construction:
 
     # -- persistence --------------------------------------------------------------
 
+    def digest(self) -> str:
+        """sha256 of the canonical body ``serialize()`` writes; it names the construction."""
+        return self.serialize().rsplit("sha256: ", 1)[1].strip()
+
     def save(self, path) -> str:
-        """Write ``serialize()`` to ``path``; return the sha256 digest it carries."""
-        text = self.serialize()
+        """Write the recipe and the canonical digest to ``path``; return the digest."""
+        digest = self.digest()
+        recipe = _recipe(self.mode, self.schedule, self.config, self.max_built)
         with open(path, "w") as fh:
-            fh.write(text)
-        return text.rsplit("sha256: ", 1)[1].strip()
+            fh.write(_sealed([FORMAT_VERSION, *recipe, f"construction-sha256: {digest}"]))
+        return digest
 
     def serialize(self) -> str:
-        lines = [FORMAT_VERSION, f"mode: {self.mode}", f"schedule: {self.schedule}"]
-        lines += self.config.as_lines()
-        lines.append(f"levels: {self.max_built}")
+        """Canonical text of the recipe and every built level, sealed by its sha256."""
+        lines = [BODY_VERSION, *_recipe(self.mode, self.schedule, self.config, self.max_built)]
         prev_len = [1, 1]  # level 1 starts from {identity}
         for level in self.levels:
             lines.append(f"[level {level.index}]")
-            lines.append(f"box: skewbox:{_int_text(level.n)}")
+            lines.append(f"box: skewbox:{hex(level.n)}")
             lines.append(f"folner-certified: {'yes' if level.folner_certified else 'no'}")
             r = level.folner_ratio
             lines.append(f"folner-ratio: {'none' if r is None else f'{r.numerator}/{r.denominator}'}")
@@ -535,128 +547,44 @@ class Construction:
             added = self._core_lists[j - 1][prev_len[j - 1]: st.core_len]
             lines.append(f"a-core-added: {len(added)}")
             lines.extend(encode(g) for g in added)
-        body = "\n".join(lines) + "\n"
-        digest = hashlib.sha256(body.encode()).hexdigest()
-        return body + f"sha256: {digest}\n"
+        return _sealed(lines)
 
     @classmethod
     def load(cls, path) -> "Construction":
+        """Rebuild, without brute checks, the levels a recipe written by ``save`` names."""
         with open(path) as fh:
-            text = fh.read()
-        return cls.deserialize(text)
-
-    @classmethod
-    def deserialize(cls, text: str) -> "Construction":
-        if "sha256: " not in text:
+            head, sep, digest = fh.read().rpartition("\nsha256: ")
+        if not sep:
             raise CorruptFileError("missing integrity line (file truncated?)")
-        body, digest_line = text.rsplit("sha256: ", 1)
-        digest = digest_line.strip()
-        if hashlib.sha256(body.encode()).hexdigest() != digest:
+        if hashlib.sha256(f"{head}\n".encode()).hexdigest() != digest.strip():
             raise CorruptFileError("sha256 mismatch: file corrupt or truncated")
-        lines = body.splitlines()
-        reader = _Reader(lines)
-        if reader.take() != FORMAT_VERSION:
+        lines = head.split("\n")
+        if lines[0] != FORMAT_VERSION:
             raise CorruptFileError(f"unsupported format (want {FORMAT_VERSION!r})")
-        mode = reader.field("mode")
-        schedule = reader.field("schedule")
+        header = dict(line.partition(": ")[::2] for line in lines[1:])
         try:
-            cfg = Config(
-                size_cap=int(reader.field("size-cap")),
-                core_block_cap=int(reader.field("core-block-cap")),
-                core_level_cap=int(reader.field("core-level-cap")),
-                folner_power_cap=int(reader.field("folner-power-cap")),
-                brute_verify=reader.field("brute-verify") == "yes",
-                brute_level_cap=int(reader.field("brute-level-cap")),
-                brute_power=int(reader.field("brute-power")),
-                mini_box_cap=int(reader.field("mini-box-cap")),
-                membership_scan_cap=int(reader.field("membership-scan-cap")),
-            )
-            out = cls(mode=mode, schedule=schedule, config=cfg)
+            cfg = Config.from_header(header)
+            out = cls(header["mode"], header["schedule"], replace(cfg, brute_verify=False))
+            levels, recorded = int(header["levels"]), header["construction-sha256"]
+        except KeyError as exc:
+            raise CorruptFileError(f"bad header: missing field {exc}") from None
         except ValueError as exc:
             # a rehashed file can still carry a header value no build writes
             raise CorruptFileError(f"bad header: {exc}") from None
-        n_levels = int(reader.field("levels"))
-        for i in range(1, n_levels + 1):
-            if reader.take() != f"[level {i}]":
-                raise CorruptFileError(f"expected level {i} section")
-            n = _int_parse(reader.field("box").removeprefix("skewbox:"))
-            certified = reader.field("folner-certified") == "yes"
-            ratio_text = reader.field("folner-ratio")
-            ratio = None
-            if ratio_text != "none":
-                num, den = ratio_text.split("/")
-                ratio = Fraction(int(num), int(den))
-            factors = []
-            for j in (1, 2):
-                cert, card, exact, b1, b2, c, added = reader.factor_block(j)
-                for g in added:
-                    out._core_append(j, g)
-                factors.append(FactorLevel(
-                    cert, card, len(out._core_lists[j - 1]), exact, b1, b2, c,
-                ))
-            out.levels.append(Level(i, n, tuple(factors), certified, ratio))
-        if reader.take() != "[next]":
-            raise CorruptFileError("expected [next] section")
-        states = []
-        for j in (1, 2):
-            cert, card, exact, added = reader.state_block(j)
-            for g in added:
-                out._core_append(j, g)
-            states.append(_FactorState(cert, card, len(out._core_lists[j - 1]), exact))
-        out._state = tuple(states)
-        out.file_digest = digest
+        recipe = _recipe(out.mode, out.schedule, cfg, levels)
+        if levels < 0 or lines != [FORMAT_VERSION, *recipe, f"construction-sha256: {recorded}"]:
+            raise CorruptFileError("bad header: not a recipe that save writes")
+        out.build_to(levels)
+        out.config = cfg  # the recorded config is part of the digest
+        out.file_digest = recorded
         return out
 
 
-def _int_text(n: int) -> str:
-    return hex(n)
+def _recipe(mode: str, schedule: str, config: Config, levels: int) -> list:
+    return [f"mode: {mode}", f"schedule: {schedule}", *config.as_lines(), f"levels: {levels}"]
 
 
-def _int_parse(text: str) -> int:
-    return int(text, 16) if text.startswith("0x") else int(text)
-
-
-class _Reader:
-    def __init__(self, lines):
-        self.lines = lines
-        self.pos = 0
-
-    def take(self) -> str:
-        if self.pos >= len(self.lines):
-            raise CorruptFileError("unexpected end of file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def field(self, name: str) -> str:
-        line = self.take()
-        prefix = f"{name}: "
-        if not line.startswith(prefix):
-            raise CorruptFileError(f"expected field {name!r}, got {line!r}")
-        return line[len(prefix):]
-
-    def _common(self, j):
-        if self.take() != f"[factor {j}]":
-            raise CorruptFileError(f"expected factor {j} section")
-        cert_text = self.field("a-cert").removeprefix("certificate:")
-        m, r = cert_text.split(",")
-        cert = BoundCertificate(int(m), int(r))
-        card_text = self.field("a-card")
-        card = None if card_text == "none" else _int_parse(card_text)
-        exact = self.field("a-exact") == "yes"
-        return cert, card, exact
-
-    def factor_block(self, j):
-        cert, card, exact = self._common(j)
-        b1 = decode(self.field("b1"))
-        b2 = decode(self.field("b2"))
-        c = decode(self.field("c"))
-        count = int(self.field("a-core-added"))
-        added = [decode(self.take()) for _ in range(count)]
-        return cert, card, exact, b1, b2, c, added
-
-    def state_block(self, j):
-        cert, card, exact = self._common(j)
-        count = int(self.field("a-core-added"))
-        added = [decode(self.take()) for _ in range(count)]
-        return cert, card, exact, added
+def _sealed(lines) -> str:
+    """The lines, closed by the sha256 integrity line of everything above it."""
+    body = "\n".join(lines) + "\n"
+    return body + f"sha256: {hashlib.sha256(body.encode()).hexdigest()}\n"

@@ -56,13 +56,6 @@ def explicit(group: GroupDescriptor, elements: Iterable[Element]) -> ExplicitSet
     return ExplicitSet(frozenset(elements), group)
 
 
-def write_set(path, s: ExplicitSet) -> None:
-    """One encoded element per line, sorted (the on-disk set format)."""
-    with open(path, "w") as fh:
-        for g in s.sorted_elements():
-            fh.write(encode(g) + "\n")
-
-
 def read_set(path, group: GroupDescriptor):
     from .groups import decode
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .construction import Construction
-from .errors import MembershipError, SizeCapError
+from .errors import MembershipError, ScheduleLimitError, SizeCapError
 from .groups import Element, ProductElement, encode, inverse, is_identity, multiply
 from .sampling import KDistribution
 from .setalg import (
@@ -244,8 +244,14 @@ def certified_marginal_bound(
     if n < 1:
         raise ValueError("horizon must be >= 1")
     kdist = kdist or KDistribution()
-    if kdist.truncation > 4096:
+    trunc = kdist.truncation
+    if trunc > 4096:
         raise ValueError("the record DP is meant for modest truncation levels")
+    # build the sharp-loss levels first, since memberships consult built cores
+    try:
+        c.build_to(_buildable_goal(c, trunc))
+    except ScheduleLimitError:
+        pass  # the paper schedule's ceiling
     try:
         m_h = c.membership_level(j, h)
     except MembershipError as exc:
@@ -254,20 +260,11 @@ def certified_marginal_bound(
             f"membership horizon: {exc}"
         ) from exc
     h_cert = certify([h])
-    trunc = kdist.truncation
     pmf = kdist.pmf_vector()
     prefix = [0.0]
     for p in pmf:
         prefix.append(prefix[-1] + p)
     sig = 0.5 if c.mode == "symmetric" else 1.0
-
-    # materialize the sharp-loss levels (the paper schedule has its own ceiling)
-    from .errors import ScheduleLimitError
-
-    try:
-        c.build_to(_buildable_goal(c, trunc))
-    except ScheduleLimitError:
-        pass
 
     # state[v] = P(no good record yet, running max = v); v = 0 means no draws.
     # A draw k > v is a strict record whatever v is, so every transition into

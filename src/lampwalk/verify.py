@@ -43,16 +43,18 @@ def run_verification_suite(c: Construction) -> list:
 
 
 def _check_rebuild(c: Construction):
+    # a loaded construction is itself a rebuild, so the fresh one is held to
+    # the digest its file records (verify it before growing it)
     fresh = Construction(mode=c.mode, schedule=c.schedule, config=c.config)
     try:
         fresh.build_to(c.max_built)
     except LampwalkError as exc:
         return [("deterministic-rebuild", False, f"rebuild failed: {exc}")]
-    ok = fresh.serialize() == c.serialize()
+    ok = fresh.digest() == (c.file_digest or c.digest())
     return [(
         "deterministic-rebuild",
         ok,
-        "rebuild reproduces the file byte for byte" if ok else "rebuild diverges",
+        "rebuild reproduces the recorded digest" if ok else "rebuild diverges",
     )]
 
 

@@ -91,19 +91,19 @@ def test_verify_passes_and_corruption_fails(tmp_path):
     proc = run(["verify", "mini.lwc"], root)
     assert "checks passed" in proc.stdout
 
-    # corrupt the inner switcher and refresh the integrity line: the loader
-    # accepts the file, the verification suite must reject it with a witness
+    # change the recorded construction digest and refresh the integrity line:
+    # the loader accepts the file, the rebuild check must reject it
     import hashlib
 
     path = root / "mini.lwc"
     body = path.read_text().rsplit("sha256: ", 1)[0]
-    body = body.replace("b1: 2|1", "b1: 0|1", 1)
+    recorded = body.split("construction-sha256: ", 1)[1].split("\n", 1)[0]
+    body = body.replace(recorded, "0" * 64, 1)
     digest = hashlib.sha256(body.encode()).hexdigest()
     path.write_text(body + f"sha256: {digest}\n")
     proc = run(["verify", "mini.lwc"], root, check=False)
-    assert proc.returncode != 0
-    assert "FAIL" in proc.stdout
-    assert "witness" in proc.stdout or "diverges" in proc.stdout
+    assert proc.returncode == 1
+    assert "FAIL deterministic-rebuild" in proc.stdout
 
 
 def test_verify_rejects_truncated_file(tmp_path):
@@ -179,7 +179,7 @@ def test_tv_manifest_names_the_loaded_file(tmp_path, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     run_in_process(MINI_BUILD, monkeypatch)
-    file_digest = (tmp_path / "m.lwc").read_text().rsplit("sha256: ", 1)[1].strip()
+    file_digest = json.loads((tmp_path / "m.lwc.manifest.json").read_text())["construction"]
     argv = ["tv", "m.lwc", "--truncation-level", "30", "--out", "tv.csv"]
     run_in_process(argv, monkeypatch)
     want = cli.Manifest(
@@ -193,7 +193,7 @@ def test_tv_manifest_names_the_loaded_file(tmp_path, monkeypatch):
 
 
 def test_only_build_and_verify_serialize(tmp_path, monkeypatch):
-    # the CLI stamps the digest that save wrote or load verified; re-serializing
+    # the CLI stamps the digest that save wrote or load read; re-serializing
     # a 600-level construction just to hash it again was most of build's time
     from lampwalk.construction import Construction
 
@@ -215,7 +215,7 @@ def test_only_build_and_verify_serialize(tmp_path, monkeypatch):
         (["tv", "m.lwc", "--n-grid", "2,4", "--truncation-level", "2", "--oracle",
           "--out", "tv.csv"], 0),
         (["inspect", "m.lwc"], 0),
-        (["verify", "m.lwc"], 2),  # the rebuild check compares two serializations
+        (["verify", "m.lwc"], 1),  # the rebuild check hashes the fresh build only
     ]
     for argv, want in stages:
         calls.clear()

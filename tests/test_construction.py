@@ -130,12 +130,36 @@ def test_determinism_two_builds():
 
 def test_save_load_roundtrip(tmp_path, mini_asym):
     path = tmp_path / "c.lwc"
-    mini_asym.save(path)
+    digest = mini_asym.save(path)
     loaded = Construction.load(path)
+    assert loaded.file_digest == digest
     assert loaded.serialize() == mini_asym.serialize()
+    assert loaded.config == mini_asym.config  # brute-verify: yes survives the rebuild
     path2 = tmp_path / "c2.lwc"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# mini_asym is test_save_load_roundtrip's, paper_asym test_paper_serialize_roundtrip's
+@pytest.mark.parametrize("name", ["mini_sym", "mini_asym_small", "mini_sym_small"])
+def test_load_rebuilds_the_saved_digest(tmp_path, request, name):
+    c = request.getfixturevalue(name)
+    path = tmp_path / "c.lwc"
+    digest = c.save(path)
+    loaded = Construction.load(path)
+    assert loaded.file_digest == digest
+    assert loaded.digest() == digest
+    assert (loaded.max_built, loaded.config) == (c.max_built, c.config)
+
+
+def test_saved_file_is_a_recipe(tmp_path):
+    # a file holds the header and a digest, whatever the level count
+    c = Construction("asymmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+    c.build_to(2000)
+    path = tmp_path / "deep.lwc"
+    c.save(path)
+    assert path.stat().st_size < 1024
+    assert path.read_text().splitlines()[0] == "lampwalk-construction v2"
 
 
 def test_loaded_construction_extends_identically(tmp_path):
@@ -146,7 +170,7 @@ def test_loaded_construction_extends_identically(tmp_path):
     b.build_to(2)
     path = tmp_path / "partial.lwc"
     digest = b.save(path)
-    assert digest == path.read_text().rsplit("sha256: ", 1)[1].strip()
+    assert f"construction-sha256: {digest}" in path.read_text().splitlines()
     assert b.file_digest is None  # built, not loaded
     loaded = Construction.load(path)
     assert loaded.file_digest == digest
@@ -165,11 +189,20 @@ def test_truncated_file_rejected(tmp_path, mini_asym):
 
 
 def test_corrupt_field_rejected(tmp_path, mini_asym):
+    # an edited line without a recomputed integrity line
     path = tmp_path / "c.lwc"
     mini_asym.save(path)
-    text = path.read_text().replace("b1: 2|1", "b1: 3|1", 1)
+    text = path.read_text().replace("levels: 2", "levels: 3", 1)
     path.write_text(text)
-    with pytest.raises(CorruptFileError):
+    with pytest.raises(CorruptFileError, match="sha256 mismatch"):
+        Construction.load(path)
+
+
+def test_v1_file_rejected(tmp_path, mini_asym):
+    # a v1 file is the canonical body itself, integrity line included
+    path = tmp_path / "c.lwc"
+    path.write_text(mini_asym.serialize())
+    with pytest.raises(CorruptFileError, match="unsupported format"):
         Construction.load(path)
 
 
@@ -177,25 +210,28 @@ def test_corrupt_field_rejected(tmp_path, mini_asym):
     ("mini-box-cap: 2", "mini-box-cap: 3"),
     ("size-cap: 1000000", "size-cap: many"),
     ("schedule: mini", "schedule: tiny"),
+    ("levels: 2", "levels: -1"),
+    ("levels: 2", "levels: x"),
 ])
 def test_bad_header_value_rejected(tmp_path, mini_asym, old, new):
     # the integrity line is recomputed, so only the header check can object
-    body = mini_asym.serialize().rsplit("sha256: ", 1)[0].replace(old, new, 1)
     path = tmp_path / "c.lwc"
+    mini_asym.save(path)
+    body = path.read_text().rsplit("sha256: ", 1)[0].replace(old, new, 1)
     path.write_text(body + f"sha256: {hashlib.sha256(body.encode()).hexdigest()}\n")
     with pytest.raises(CorruptFileError, match="bad header"):
         Construction.load(path)
 
 
 def test_paper_serialize_roundtrip(tmp_path, paper_asym):
-    # level-3 window parameters are hundreds of kilobits, written as exact
-    # decimal integers; save writes exactly serialize(), so comparing with the
-    # file spares serializing the original a second time
+    # level-3 window parameters are hundreds of kilobits; the file keeps only
+    # the digest of their exact decimal text, and the rebuild reproduces it
     path = tmp_path / "paper.lwc"
-    paper_asym.save(path)
+    digest = paper_asym.save(path)
     loaded = Construction.load(path)
     assert loaded.level(3).n == paper_asym.level(3).n
-    assert loaded.serialize() == path.read_text()
+    assert loaded.file_digest == digest
+    assert loaded.digest() == digest
 
 
 def test_shared_box_keeps_pairing_sizes(mini_sym):

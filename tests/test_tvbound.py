@@ -249,3 +249,22 @@ def test_linear_dp_matches_quadratic_reference(request, mode, schedule, cap):
                 want = _quadratic_bound(c, h, n, 1, kd)
                 for g, w in zip(got, want):
                     assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0), (trunc, h, n, got, want)
+
+
+def test_bound_does_not_depend_on_call_order():
+    # membership_level consults the built cores, so the bound grows the
+    # construction before it reads the membership level of h
+    def fresh():
+        c = Construction("symmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+        c.build_to(2)
+        return c
+
+    kd = KDistribution(truncation=100)
+    h = decode("2|")
+    c = fresh()
+    first = certified_marginal_bound(c, h, 100, kdist=kd)
+    assert certified_marginal_bound(c, h, 100, kdist=kd) == first
+    other = fresh()
+    certified_marginal_bound(other, decode("1|"), 100, kdist=kd)
+    assert certified_marginal_bound(other, h, 100, kdist=kd) == first
+    assert (first.membership_level, first.bound) == (14, 2.0)
