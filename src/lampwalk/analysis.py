@@ -182,7 +182,7 @@ def decompose_tracked(traj: Trajectory, n: int, c: Optional[Construction] = None
         q2 = _product_tail(traj, m, n, c)
     d = Decomposition(level, m, q1, step.f1, step.f2, q2, step.sigma)
     if c is not None and q1 is not None and m > 1:
-        _assert_window_membership(c, d, m, n)
+        _assert_window_membership(c, d, m)
     return d
 
 
@@ -198,22 +198,14 @@ def _product_tail(traj: Trajectory, m: int, n: int, c) -> ProductElement:
     return out
 
 
-def _assert_window_membership(c: Construction, d: Decomposition, m: int, n: int) -> None:
-    """Sound certificate check that q1 fits the window's left coset power."""
+def _assert_window_membership(c: Construction, d: Decomposition, m: int) -> None:
+    """Sound certificate check that q1 (a product of m - 1 >= 1 increments)
+    fits the window's left coset power, where the construction knows A."""
+    if d.level > c.max_built + 1:
+        return
     for j, comp in ((1, d.q1.left), (2, d.q1.right)):
-        if m - 1 == 0:
-            continue
-        if d.level <= c.max_built + 1:
-            cert = (
-                c.levels[d.level - 1].factor(j).a_cert
-                if d.level <= c.max_built
-                else c._state[j - 1].cert
-            )
-            power_cert = certify_power(cert, m - 1)
-            if not power_cert.covers(comp):
-                raise AssertionError(
-                    f"tracked q1 escapes the A({j},{d.level})^{m - 1} certificate"
-                )
+        if not certify_power(c.a_state(j, d.level).cert, m - 1).covers(comp):
+            raise AssertionError(f"tracked q1 escapes the A({j},{d.level})^{m - 1} certificate")
 
 
 # -- exhaustive window index (mini schedule) ---------------------------------------
@@ -397,9 +389,6 @@ class TailSequence:
     def censored(self) -> bool:
         return self.stabilization_time is None
 
-    def deposit_levels(self):
-        return [e.level for e in self.entries]
-
 
 def tau_extract(traj: Trajectory) -> TailSequence:
     """Deposited prefix of the tail map: z_{m-1} at post-stabilization records."""
@@ -458,12 +447,6 @@ class ConditionReport:
     p_dynamics: ConditionStatus             # p(z_{i+1}) in {p(z_i), z_i}
     rank_growth: ConditionStatus            # max rank keeps growing
     checked_steps: int = 0
-
-    def all_pass(self) -> bool:
-        return all(
-            s.status == "pass"
-            for s in (self.window_membership, self.p_dynamics, self.rank_growth)
-        )
 
 
 def check_nontriviality_conditions(traj: Trajectory, c: Optional[Construction] = None) -> ConditionReport:

@@ -30,7 +30,14 @@ from .sampling import (
 )
 from .setalg import read_set
 from .switchers import is_superswitcher, is_switcher
-from .tvbound import certified_marginal_bound, exact_marginal, translate, tv, write_tv_curve
+from .tvbound import (
+    _buildable_goal,
+    certified_marginal_bound,
+    exact_marginal,
+    translate,
+    tv,
+    write_tv_curve,
+)
 from .verify import run_verification_suite
 
 DEFAULT_GENERATORS = ["0|0", "1|", "-1|"]
@@ -116,7 +123,7 @@ def _out_dir(args) -> Path:
 
 def _manifest(args, construction_digest="") -> Manifest:
     return Manifest(
-        command=[a for a in sys.argv[1:]],
+        command=list(args.argv),
         config=_effective_config(args),
         seed=args.seed,
         construction_digest=construction_digest,
@@ -175,16 +182,15 @@ def _short(g) -> str:
 def cmd_sample(args) -> int:
     c = Construction.load(args.construction)
     kdist = KDistribution(truncation=args.truncation_level)
+    cap = _int_or_none(args.x_level_cap)
+    # walks read every level they materialize, up to the cap or the truncation
+    c.build_to(args.truncation_level if cap is None else min(cap, args.truncation_level))
     out_dir = _out_dir(args)
     manifest = _manifest(args, c.file_digest)
     digest = manifest.write(out_dir / "manifest.json")
     for idx in range(args.n_traj):
         rng = trajectory_rng(args.seed, idx)
-        traj = walk(
-            c, args.horizon, rng, kdist=kdist,
-            x_level_cap=_int_or_none(args.x_level_cap),
-            seed_label=f"{args.seed}/{idx}",
-        )
+        traj = walk(c, args.horizon, rng, kdist=kdist, x_level_cap=cap)
         write_trajectory_csv(out_dir / f"trajectory-{idx:04d}.csv", traj, digest)
     print(f"wrote {args.n_traj} trajectories to {out_dir} (manifest {digest[:12]})")
     return 0
@@ -218,11 +224,11 @@ def cmd_tv(args) -> int:
     kdist = KDistribution(truncation=args.truncation_level)
     gens = _split_elements(args.generators) or DEFAULT_GENERATORS
     grid = [int(x) for x in args.n_grid.split(",")]
+    oracle_grid = [n for n in grid if args.oracle and n <= args.oracle_n_cap]
+    # the oracle reads every level up to the truncation; the bound, its goal
+    c.build_to(args.truncation_level if oracle_grid else _buildable_goal(c, args.truncation_level))
     # the exact marginal depends on n alone, not on the generator
-    marginals = {
-        n: exact_marginal(c, args.factor, n, kdist)
-        for n in grid if args.oracle and n <= args.oracle_n_cap
-    }
+    marginals = {n: exact_marginal(c, args.factor, n, kdist) for n in oracle_grid}
     rows = []
     for text in gens:
         h = decode(text)
@@ -363,8 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = argv  # manifests record the arguments of this run, not the host's
     try:
         return args.func(args)
     except LampwalkError as exc:

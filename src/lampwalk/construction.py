@@ -37,6 +37,7 @@ from typing import Optional
 
 from .errors import (
     CorruptFileError,
+    LampwalkError,
     MembershipError,
     ScheduleLimitError,
 )
@@ -194,7 +195,11 @@ class Level:
 
 
 @dataclass
-class _FactorState:
+class AState:
+    """What the construction knows of A(j,i): a window certificate, a
+    cardinality bound, the prefix of the core list that lies in it, and
+    whether that core is the whole set."""
+
     cert: BoundCertificate
     card: Optional[int]
     core_len: int
@@ -202,7 +207,12 @@ class _FactorState:
 
 
 class Construction:
-    """Lazily built, deterministic level data for one (mode, schedule) pair."""
+    """Deterministic level data for one (mode, schedule) pair.
+
+    Only ``build_to`` (with ``build_level`` and ``load``) adds levels; every
+    other method, and every reader elsewhere in the package, only reads the
+    levels already built.
+    """
 
     def __init__(self, mode: str = "asymmetric", schedule: str = "paper",
                  config: Optional[Config] = None):
@@ -223,8 +233,9 @@ class Construction:
         self._enum = LazyEnumeration(self.group)
         self._core_lists = ([self.identity], [self.identity])
         self._core_index = ({self.identity: 0}, {self.identity: 0})
-        start = _FactorState(cert=BoundCertificate(0, 0), card=1, core_len=1, exact=True)
-        self._state = (start, _FactorState(**vars(start)))
+        start = AState(cert=BoundCertificate(0, 0), card=1, core_len=1, exact=True)
+        # per-factor A(j,i) for i = 1..max_built + 1; the last pair feeds the next level
+        self._a_states = [(start, AState(**vars(start)))]
         # the canonical digest recorded in the file this was read from;
         # growing the construction later leaves it naming that file
         self.file_digest: Optional[str] = None
@@ -240,8 +251,20 @@ class Construction:
             self.build_level(self.max_built + 1)
 
     def level(self, i: int) -> Level:
-        self.build_to(i)
+        """Level i, for 1 <= i <= max_built."""
+        if not 1 <= i <= self.max_built:
+            raise LampwalkError(f"level {i} is not built (built: {self.max_built}); call build_to")
         return self.levels[i - 1]
+
+    def a_state(self, j: int, i: int) -> AState:
+        """A(j,i) for 1 <= i <= max_built + 1.
+
+        A(j, max_built + 1) is the input of the next level, which building the
+        last level already computed.
+        """
+        if not 1 <= i <= self.max_built + 1:
+            raise LampwalkError(f"A({j},{i}) is not known (built: {self.max_built}); call build_to")
+        return self._a_states[i - 1][j - 1]
 
     def c_pair(self, i: int) -> ProductElement:
         """The i-th element of the product-group enumeration (1-based)."""
@@ -252,7 +275,7 @@ class Construction:
             raise ValueError(f"levels build sequentially; next is {self.max_built + 1}")
         cfg = self.config
         sym = self.mode == "symmetric"
-        states = self._state
+        states = self._a_states[-1]
         e = self.profile.exponent_level(i)
 
         n = self._choose_box(i, states)
@@ -294,7 +317,7 @@ class Construction:
         if cfg.brute_verify and self.schedule == "mini" and i <= cfg.brute_level_cap:
             self._brute_verify(level)
         self.levels.append(level)
-        self._state = tuple(next_states)
+        self._a_states.append(tuple(next_states))
         return level
 
     def _choose_box(self, i: int, states) -> int:
@@ -342,8 +365,8 @@ class Construction:
             index[g] = len(self._core_lists[j - 1])
             self._core_lists[j - 1].append(g)
 
-    def _advance_state(self, i, j, st: _FactorState, fl: FactorLevel,
-                       box: SkewBox, box_cert) -> _FactorState:
+    def _advance_state(self, i, j, st: AState, fl: FactorLevel,
+                       box: SkewBox, box_cert) -> AState:
         sym = self.mode == "symmetric"
         cfg = self.config
         b1_cert = certify(explicit(self.factor_group, [fl.b1]))
@@ -382,7 +405,7 @@ class Construction:
         core_len = len(self._core_lists[j - 1])
         if exact and card is not None:
             card = core_len
-        return _FactorState(cert=cert, card=card, core_len=core_len, exact=exact)
+        return AState(cert=cert, card=card, core_len=core_len, exact=exact)
 
     def _materialize_block(self, fl: FactorLevel, box: SkewBox):
         out = set()
@@ -437,43 +460,27 @@ class Construction:
 
     def a_core(self, j: int, i: int) -> tuple:
         """Explicit known members of A(j,i), in deterministic build order."""
-        if i == self.max_built + 1:
-            core_len = self._state[j - 1].core_len
-        else:
-            core_len = self.level(i).factor(j).core_len
-        return tuple(self._core_lists[j - 1][:core_len])
+        return tuple(self._core_lists[j - 1][: self.a_state(j, i).core_len])
 
     def a_set(self, j: int, i: int) -> ExplicitSet:
         """Materialized A(j,i); requires the core to be exact."""
-        if i == self.max_built + 1:
-            st = self._state[j - 1]
-            if not st.exact:
-                raise MembershipError(f"A({j},{i}) is not fully materialized")
-            return self._core_set(j, st.core_len)
-        fl = self.level(i).factor(j)
-        if not fl.a_exact:
+        st = self.a_state(j, i)
+        if not st.exact:
             raise MembershipError(f"A({j},{i}) is not fully materialized")
-        return self._core_set(j, fl.core_len)
+        return self._core_set(j, st.core_len)
 
     def a_power(self, j: int, i: int, p: int) -> ExplicitSet:
         return power_set(self.a_set(j, i), p, size_cap=self.config.size_cap)
 
     def membership_a(self, j: int, i: int, g: LamplighterElement) -> str:
         """'yes' | 'no' | 'unknown-sound' membership of g in A(j,i)."""
-        if i <= self.max_built:
-            fl = self.levels[i - 1].factor(j)
-            cert, core_len, exact = fl.a_cert, fl.core_len, fl.a_exact
-        elif i == self.max_built + 1:
-            st = self._state[j - 1]
-            cert, core_len, exact = st.cert, st.core_len, st.exact
-        else:
-            raise ValueError(f"level {i} not built (have {self.max_built})")
+        st = self.a_state(j, i)
         pos = self._core_index[j - 1].get(g)
-        if pos is not None and pos < core_len:
+        if pos is not None and pos < st.core_len:
             return "yes"
-        if exact:
+        if st.exact:
             return "no"
-        if not cert.covers(g):
+        if not st.cert.covers(g):
             return "no"
         return "unknown-sound"
 
@@ -539,7 +546,7 @@ class Construction:
                 prev_len[j - 1] = fl.core_len
         lines.append("[next]")
         for j in (1, 2):
-            st = self._state[j - 1]
+            st = self.a_state(j, self.max_built + 1)
             lines.append(f"[factor {j}]")
             lines.append(f"a-cert: certificate:{st.cert.cursor_radius},{st.cert.lamp_radius}")
             lines.append(f"a-card: {'none' if st.card is None else hex(st.card)}")

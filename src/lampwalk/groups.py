@@ -159,19 +159,6 @@ class GroupDescriptor:
             )
         raise ValueError(f"unknown group kind {self.kind!r}")
 
-    def owns(self, g: Element) -> bool:
-        if self.kind == "lamplighter":
-            return isinstance(g, LamplighterElement)
-        if self.kind == "abelian-control":
-            return isinstance(g, AbelianControlElement)
-        if self.kind == "product":
-            return (
-                isinstance(g, ProductElement)
-                and self.children[0].owns(g.left)
-                and self.children[1].owns(g.right)
-            )
-        return False
-
 
 def lamplighter_group() -> GroupDescriptor:
     return GroupDescriptor("lamplighter")

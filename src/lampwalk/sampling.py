@@ -60,9 +60,6 @@ class KDistribution:
     def pmf_vector(self) -> list[float]:
         return list(self._pmf)
 
-    def total_mass(self) -> float:
-        return math.fsum(self._pmf)
-
     def sample(self, rng) -> int:
         return bisect.bisect_right(self._cum, rng.random()) + 1
 
@@ -98,7 +95,11 @@ def sample_x(
     kdist: KDistribution,
     x_level_cap: Optional[int] = None,
 ) -> CoupledStep:
-    """One coupled draw; builds levels lazily up to the materialization cap."""
+    """One coupled draw; the construction must hold every level it materializes.
+
+    Levels above ``x_level_cap`` are never read, so a metadata-only draw
+    (cap 0) needs no built level at all.
+    """
     k = kdist.sample(rng)
     y = sample_y(k, rng)
     sigma = 1
@@ -128,8 +129,6 @@ class Trajectory:
     """
 
     steps: list
-    seed_label: str = ""
-    mode: str = "asymmetric"
     zs: list = field(default_factory=list)
 
     @property
@@ -165,13 +164,13 @@ def walk(
     rng,
     kdist: Optional[KDistribution] = None,
     x_level_cap: Optional[int] = None,
-    seed_label: str = "",
 ) -> Trajectory:
     """Simulate ``horizon`` coupled steps; deterministic given the rng state.
 
-    ``x_level_cap``: None materializes every increment (requires every drawn
-    level to be buildable); 0 keeps metadata only; otherwise increments are
-    materialized exactly for steps with k <= cap.
+    ``x_level_cap``: None materializes every increment (requires the
+    construction built to the truncation level); 0 keeps metadata only;
+    otherwise increments are materialized exactly for steps with k <= cap,
+    which must be built.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -188,20 +187,7 @@ def walk(
             zs.append(z)
         else:
             broken = True
-    return Trajectory(steps=steps, seed_label=seed_label, mode=c.mode, zs=zs)
-
-
-def ky_walk(horizon: int, rng, kdist: KDistribution, symmetric: bool = False) -> Trajectory:
-    """Metadata-only walk: exact (k, y, sigma) stream with no elements."""
-    steps = []
-    for _ in range(horizon):
-        k = kdist.sample(rng)
-        y = sample_y(k, rng)
-        sigma = 1
-        if symmetric:
-            sigma = 1 if rng.getrandbits(1) else -1
-        steps.append(CoupledStep(k, y, sigma))
-    return Trajectory(steps=steps, mode="symmetric" if symmetric else "asymmetric")
+    return Trajectory(steps=steps, zs=zs)
 
 
 # -- exact pmf oracle ----------------------------------------------------------

@@ -303,12 +303,6 @@ def verify_folner(a: ExplicitSet, box: SkewBox, delta) -> FolnerCheck:
     return FolnerCheck(ratio < delta, ratio, delta, "exact-union")
 
 
-def subadditive_folner_bound(a: ExplicitSet, box: SkewBox) -> Fraction:
-    """Sound upper bound on the invariance ratio: sum of per-element losses."""
-    total = sum(min(box.n, _loss_numer(g)) for g in a.elements)
-    return Fraction(total, box.n)
-
-
 def folner_for(
     cert: BoundCertificate,
     delta,

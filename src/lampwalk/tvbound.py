@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .construction import Construction
-from .errors import MembershipError, ScheduleLimitError, SizeCapError
+from .errors import MembershipError, SizeCapError
 from .groups import Element, ProductElement, encode, inverse, is_identity, multiply
 from .sampling import KDistribution
 from .setalg import (
@@ -240,6 +240,10 @@ def certified_marginal_bound(
 
     where below_k = sum_{v<k} state[v] is a running sum, so each step costs
     O(I) and the bound O(n I) for truncation I.
+
+    The bound reads ``c`` and never builds: levels past ``max_built`` take
+    the schedule's tail loss, and memberships consult the built cores.  Build
+    to ``_buildable_goal(c, I)`` first for the sharp bound the CLI reports.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -247,11 +251,6 @@ def certified_marginal_bound(
     trunc = kdist.truncation
     if trunc > 4096:
         raise ValueError("the record DP is meant for modest truncation levels")
-    # build the sharp-loss levels first, since memberships consult built cores
-    try:
-        c.build_to(_buildable_goal(c, trunc))
-    except ScheduleLimitError:
-        pass  # the paper schedule's ceiling
     try:
         m_h = c.membership_level(j, h)
     except MembershipError as exc:
@@ -314,6 +313,8 @@ def certified_marginal_bound(
 
 
 def _buildable_goal(c: Construction, trunc: int) -> int:
+    """How deep to build before the bound: the truncation, capped at 64 levels
+    on mini and at the paper schedule's desk-scale ceiling of 3."""
     if c.schedule == "mini":
         return min(trunc, 64)
     return min(trunc, 3)

@@ -44,7 +44,7 @@ def run_verification_suite(c: Construction) -> list:
 
 def _check_rebuild(c: Construction):
     # a loaded construction is itself a rebuild, so the fresh one is held to
-    # the digest its file records (verify it before growing it)
+    # the digest its file records
     fresh = Construction(mode=c.mode, schedule=c.schedule, config=c.config)
     try:
         fresh.build_to(c.max_built)

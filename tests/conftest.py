@@ -3,37 +3,36 @@ import pytest
 from lampwalk.construction import Config, Construction
 
 
+def _built(c, depth):
+    """Yield ``c`` built to ``depth``; at teardown, no test may have grown it."""
+    c.build_to(depth)
+    yield c
+    assert c.max_built == depth, f"a test grew a shared construction to {c.max_built} levels"
+
+
 @pytest.fixture(scope="session")
 def mini_asym():
-    c = Construction("asymmetric", "mini")
-    c.build_to(2)
-    return c
+    yield from _built(Construction("asymmetric", "mini"), 2)
 
 
 @pytest.fixture(scope="session")
 def mini_sym():
-    c = Construction("symmetric", "mini")
-    c.build_to(2)
-    return c
+    yield from _built(Construction("symmetric", "mini"), 2)
 
 
 @pytest.fixture(scope="session")
 def mini_asym_small():
     # window size frozen at 1: the smallest oracle-friendly mini instance
     c = Construction("asymmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
-    c.build_to(2)
-    return c
+    yield from _built(c, 2)
 
 
 @pytest.fixture(scope="session")
 def mini_sym_small():
     c = Construction("symmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
-    c.build_to(2)
-    return c
+    yield from _built(c, 2)
 
 
 @pytest.fixture(scope="session")
 def paper_asym():
-    c = Construction("asymmetric", "paper")
-    c.build_to(3)
-    return c
+    yield from _built(Construction("asymmetric", "paper"), 3)

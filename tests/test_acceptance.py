@@ -263,11 +263,9 @@ def test_criterion_4_stabilization(trajectory_summaries):
 
 
 def test_criterion_5_freeness(kdist_full):
-    # x_level_cap=2000 lazily builds levels up to about 2000; a private
-    # construction keeps that growth out of the session fixture `mini_asym`,
-    # which later tests serialize
+    # walks with x_level_cap=2000 read every level up to 2000
     c = Construction("asymmetric", "mini")
-    c.build_to(2)
+    c.build_to(2000)
     generators = [
         decode("(0|0;0|)"),     # (a, e)
         decode("(0|;0|0)"),     # (e, a)

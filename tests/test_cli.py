@@ -172,9 +172,21 @@ MINI_BUILD = ["build", "--schedule", "mini", "--mini-box-cap", "1", "--max-level
               "--out", "m.lwc"]
 
 
+def test_manifest_records_the_argv_main_was_given(tmp_path, monkeypatch):
+    # an in-process caller's own arguments are not the run's
+    from lampwalk import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["pytest", "-q", "tests"])
+    assert cli.main(MINI_BUILD) == 0
+    manifest = json.loads((tmp_path / "m.lwc.manifest.json").read_text())
+    assert manifest["command"] == MINI_BUILD
+
+
 def test_tv_manifest_names_the_loaded_file(tmp_path, monkeypatch):
-    # tv grows the loaded 2-level construction to 30 levels; its manifest must
-    # still carry the digest of m.lwc, not that of the grown construction
+    # tv builds the loaded 2-level construction to the bound's goal, 30 levels;
+    # its manifest must still carry the digest of m.lwc, not that of the grown
+    # construction
     from lampwalk import cli
 
     monkeypatch.chdir(tmp_path)

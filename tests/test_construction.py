@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lampwalk.construction import Config, Construction
-from lampwalk.errors import CorruptFileError, ScheduleLimitError
+from lampwalk.errors import CorruptFileError, LampwalkError, ScheduleLimitError
 from lampwalk.groups import (
     LAMP_A,
     LAMP_S,
@@ -52,6 +52,21 @@ def test_paper_level_one_switchers(paper_asym):
     fl = paper_asym.level(1).factor(1)
     assert fl.b1 == LamplighterElement((1,), 2)
     assert fl.b2 == LamplighterElement((40,), 100)
+
+
+def test_level_reads_only_built_levels(mini_asym):
+    c = mini_asym
+    top = c.max_built
+    for i in (0, -1, top + 1):
+        with pytest.raises(LampwalkError, match=f"level {i} is not built \\(built: {top}\\)"):
+            c.level(i)
+    assert c.level(top) is c.levels[-1]
+    # A(j, i) is known one level further: the next level's input
+    assert c.a_state(1, top + 1).core_len == len(c.a_core(1, top + 1))
+    for i in (0, top + 2):
+        with pytest.raises(LampwalkError, match=f"A\\(1,{i}\\) is not known"):
+            c.a_state(1, i)
+    assert c.max_built == top
 
 
 def test_paper_level_four_refused(paper_asym):

@@ -233,14 +233,13 @@ def _quadratic_bound(c, h, n, j, kdist):
 ])
 def test_linear_dp_matches_quadratic_reference(request, mode, schedule, cap):
     if schedule == "paper":
-        c = request.getfixturevalue("paper_asym")  # the bound builds paper to 3 only
+        c = request.getfixturevalue("paper_asym")  # built to the bound's goal, 3
     else:
-        # private: the bound grows a mini construction to min(I, 64) levels
+        # private: built below to the bound's goal, min(I, 64) levels on mini
         c = Construction(mode, schedule, Config(brute_verify=False, mini_box_cap=cap))
     gens = [decode(t) for t in ("0|0", "1|", "-1|", "0|0,1", "2|")]
     for trunc in (2, 30, 100):
         kd = KDistribution(truncation=trunc)
-        # grow first, so that both DPs see the same levels and membership
         c.build_to(_buildable_goal(c, trunc))
         for h in gens:
             for n in (1, 2, 4, 10, 100, 1000):
@@ -252,11 +251,11 @@ def test_linear_dp_matches_quadratic_reference(request, mode, schedule, cap):
 
 
 def test_bound_does_not_depend_on_call_order():
-    # membership_level consults the built cores, so the bound grows the
-    # construction before it reads the membership level of h
+    # the bound only reads the construction, which the caller builds to the
+    # bound's goal; membership_level consults the built cores
     def fresh():
         c = Construction("symmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
-        c.build_to(2)
+        c.build_to(_buildable_goal(c, 100))
         return c
 
     kd = KDistribution(truncation=100)
