@@ -44,65 +44,78 @@ class RecordReport:
     record_times: tuple
     non_strict_record_times: tuple
     simple_record_times: tuple
-    max_exceeds_index_from: Optional[int]
+
+
+def _non_strict_records(ks) -> list:
+    """The non-strict record times: steps at least as high as every earlier one."""
+    out = []
+    best = ks[0]
+    for i, k in enumerate(ks, start=1):
+        if k >= best:
+            best = k
+            out.append(i)
+    return out
 
 
 def analyze_records(ks) -> RecordReport:
-    """Exact classification of record, non-strict record, and simple times."""
+    """Exact classification of record, non-strict record, and simple times.
+
+    Non-strict record values never decrease, so a record is simple exactly
+    when the next non-strict record after it (if any) is strictly higher.
+    """
     if not ks:
         raise ValueError("empty level sequence")
-    records = []
-    non_strict = []
-    best = None
-    for i, k in enumerate(ks, start=1):
-        if best is None or k > best:
+    non_strict = _non_strict_records(ks)
+    values = [ks[i - 1] for i in non_strict]
+    records, simple = [], []
+    for j, i in enumerate(non_strict):
+        if j == 0 or values[j] > values[j - 1]:
             records.append(i)
-            non_strict.append(i)
-            best = k
-        elif k == best:
-            non_strict.append(i)
-    ns_values = {i: ks[i - 1] for i in non_strict}
-    simple = []
-    for i in records:
-        later = [ns_values[j] for j in non_strict if j > i]
-        if all(ks[i - 1] < v for v in later):
-            simple.append(i)
-    last_bad = 0
-    best = 0
-    for i, k in enumerate(ks, start=1):
-        best = max(best, k)
-        if best <= i:
-            last_bad = i
-    from_index = last_bad + 1 if last_bad < len(ks) else None
-    return RecordReport(tuple(records), tuple(non_strict), tuple(simple), from_index)
+            if j + 1 == len(values) or values[j + 1] > values[j]:
+                simple.append(i)
+    return RecordReport(tuple(records), tuple(non_strict), tuple(simple))
+
+
+def _record_scan(ks, red) -> tuple:
+    """(stable-so-far flags, dominant record times, last unstable index).
+
+    Between consecutive non-strict records the maximum, its multiplicity and
+    its step are fixed, so each such run of steps is filled at once: stable
+    while the step index stays below the maximum.
+    """
+    flags, dom = [], []
+    non_strict = _non_strict_records(ks)
+    best, count, argmax, last_bad = None, 0, 0, 0
+    for start, end in zip(non_strict, non_strict[1:] + [len(ks) + 1]):
+        if ks[start - 1] == best:
+            count += 1
+        else:
+            best, count, argmax = ks[start - 1], 1, start
+        stable = 0
+        if count == 1 and not red[argmax - 1]:
+            stable = max(0, min(end, best) - start)
+        flags += [True] * stable + [False] * (end - start - stable)
+        dom += [argmax] * (end - start)
+        if start + stable < end:
+            last_bad = end - 1
+    return flags, dom, last_bad
+
+
+def _scan(traj: Trajectory) -> tuple:
+    """The record scan of ``traj``, computed once and kept on the trajectory."""
+    if traj._scan is None:
+        traj._scan = _record_scan(traj.k, traj.red)
+    return traj._scan
 
 
 def stable_so_far_flags(traj: Trajectory) -> list[bool]:
     """Per step i: max over 1..i unique, exceeding i, and blue."""
-    flags = []
-    best = None
-    count = 0
-    argmax = 0
-    for i, step in enumerate(traj.steps, start=1):
-        if best is None or step.k > best:
-            best, count, argmax = step.k, 1, i
-        elif step.k == best:
-            count += 1
-        blue = traj.steps[argmax - 1].y == "blue"
-        flags.append(count == 1 and best > i and blue)
-    return flags
+    return list(_scan(traj)[0])
 
 
 def dominant_record_times(traj: Trajectory) -> list[int]:
     """argmax of k_1..k_i for each i (first attainment)."""
-    out = []
-    best = None
-    argmax = 0
-    for i, step in enumerate(traj.steps, start=1):
-        if best is None or step.k > best:
-            best, argmax = step.k, i
-        out.append(argmax)
-    return out
+    return list(_scan(traj)[1])
 
 
 def detect_stabilization(traj: Trajectory) -> Optional[int]:
@@ -112,14 +125,8 @@ def detect_stabilization(traj: Trajectory) -> Optional[int]:
     is the last unstable index (0 when every step qualifies).  The flag is
     "stable so far": data beyond the horizon could still revoke it.
     """
-    flags = stable_so_far_flags(traj)
-    if not flags[-1]:
-        return None
-    last_bad = 0
-    for i, ok in enumerate(flags, start=1):
-        if not ok:
-            last_bad = i
-    return last_bad
+    flags, _, last_bad = _scan(traj)
+    return last_bad if flags[-1] else None
 
 
 # -- tracked decompositions ------------------------------------------------------
@@ -154,10 +161,10 @@ def p_map(d: Decomposition) -> ProductElement:
 
 def rank_tracked(traj: Trajectory, n: int) -> int:
     """Level of the window the tracked walk inhabits at step n (0 if none)."""
-    flags = stable_so_far_flags(traj)
+    flags, dom, _ = _scan(traj)
     if not (1 <= n <= traj.horizon) or not flags[n - 1]:
         return 0
-    return traj.steps[dominant_record_times(traj)[n - 1] - 1].k
+    return traj.k[dom[n - 1] - 1]
 
 
 def decompose_tracked(traj: Trajectory, n: int, c: Optional[Construction] = None) -> Optional[Decomposition]:
@@ -172,13 +179,13 @@ def decompose_tracked(traj: Trajectory, n: int, c: Optional[Construction] = None
     level = rank_tracked(traj, n)
     if level == 0:
         return None
-    m = dominant_record_times(traj)[n - 1]
-    step = traj.steps[m - 1]
+    m = _scan(traj)[1][n - 1]
+    step = traj.step(m - 1)
     if step.y != "blue":
         raise AssertionError("stable step with a red dominant record")
     q1 = traj.z(m - 1) if traj.z_materialized(m - 1) else None
     q2 = None
-    if all(traj.steps[i].x is not None for i in range(m, n)):
+    if all(i in traj.elements for i in range(m, n)):
         q2 = _product_tail(traj, m, n, c)
     d = Decomposition(level, m, q1, step.f1, step.f2, q2, step.sigma)
     if c is not None and q1 is not None and m > 1:
@@ -193,7 +200,7 @@ def _product_tail(traj: Trajectory, m: int, n: int, c) -> ProductElement:
         return product_group(lamplighter_group(), lamplighter_group()).identity()
     out = None
     for i in range(m, n):
-        x = traj.steps[i].x
+        x = traj.elements[i][2]
         out = x if out is None else multiply(out, x)
     return out
 
@@ -395,12 +402,12 @@ def tau_extract(traj: Trajectory) -> TailSequence:
     i0 = detect_stabilization(traj)
     if i0 is None:
         return TailSequence((), None)
-    dom = dominant_record_times(traj)
+    dom = _scan(traj)[1]
     times = sorted({dom[i - 1] for i in range(i0 + 1, traj.horizon + 1)})
     entries = []
     for m in times:
         element = traj.z(m - 1) if traj.z_materialized(m - 1) else None
-        entries.append(TailEntry(traj.steps[m - 1].k, m, element))
+        entries.append(TailEntry(traj.k[m - 1], m, element))
     return TailSequence(tuple(entries), i0)
 
 
@@ -457,7 +464,7 @@ def check_nontriviality_conditions(traj: Trajectory, c: Optional[Construction] =
         return ConditionReport(None, censored, censored,
                                _rank_growth_status(traj), 0)
 
-    flags = stable_so_far_flags(traj)
+    flags, dom, _ = _scan(traj)
     first_bad = next((i for i in range(i0 + 1, horizon + 1) if not flags[i - 1]), None)
     membership = ConditionStatus(
         "pass" if first_bad is None else "fail",
@@ -467,7 +474,6 @@ def check_nontriviality_conditions(traj: Trajectory, c: Optional[Construction] =
         i0 + 1,
     )
 
-    dom = dominant_record_times(traj)
     checked = 0
     p_bad = None
     for i in range(max(i0 + 1, 1), horizon):
@@ -497,11 +503,10 @@ def check_nontriviality_conditions(traj: Trajectory, c: Optional[Construction] =
 
 def _rank_growth_status(traj: Trajectory) -> ConditionStatus:
     horizon = traj.horizon
-    flags = stable_so_far_flags(traj)
-    dom = dominant_record_times(traj)
+    flags, dom, _ = _scan(traj)
 
     def rank_at(i):
-        return traj.steps[dom[i - 1] - 1].k if flags[i - 1] else 0
+        return traj.k[dom[i - 1] - 1] if flags[i - 1] else 0
 
     early = rank_at(max(1, horizon // 10))
     late = rank_at(horizon)

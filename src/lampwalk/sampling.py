@@ -22,11 +22,13 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 from .construction import Construction
-from .errors import OracleRangeError
+from .errors import CorruptFileError, OracleRangeError
 from .groups import ProductElement, encode, inverse, multiply
 
 DEFAULT_EXPONENT = 1.25
@@ -44,13 +46,9 @@ class KDistribution:
         weights = [k ** -exponent for k in range(1, truncation + 1)]
         self.normalizer = math.fsum(weights)
         self._pmf = [w / self.normalizer for w in weights]
-        cum = []
-        acc = 0.0
-        for p in self._pmf:
-            acc += p
-            cum.append(acc)
-        cum[-1] = 1.0
-        self._cum = cum
+        del weights  # freed before the cumulative table: two float tables at peak, not three
+        self._cum = list(accumulate(self._pmf))
+        self._cum[-1] = 1.0
 
     def pmf(self, k: int) -> float:
         if 1 <= k <= self.truncation:
@@ -64,15 +62,18 @@ class KDistribution:
         return bisect.bisect_right(self._cum, rng.random()) + 1
 
 
-def sample_y(k: int, rng) -> str:
-    """'red' with probability exactly 2**-k, by 64-bit rejection blocks."""
+def _is_red(k: int, getrandbits) -> bool:
+    """True with probability exactly 2**-k, by 64-bit rejection blocks."""
     while k >= 64:
-        if rng.getrandbits(64):
-            return "blue"
+        if getrandbits(64):
+            return False
         k -= 64
-    if k and rng.getrandbits(k):
-        return "blue"
-    return "red"
+    return not (k and getrandbits(k))
+
+
+def sample_y(k: int, rng) -> str:
+    """'red' with probability exactly 2**-k (see ``_is_red``)."""
+    return "red" if _is_red(k, rng.getrandbits) else "blue"
 
 
 @dataclass(frozen=True)
@@ -95,48 +96,53 @@ def sample_x(
     kdist: KDistribution,
     x_level_cap: Optional[int] = None,
 ) -> CoupledStep:
-    """One coupled draw; the construction must hold every level it materializes.
+    """One coupled draw: a one-step ``walk``.
 
     Levels above ``x_level_cap`` are never read, so a metadata-only draw
     (cap 0) needs no built level at all.
     """
-    k = kdist.sample(rng)
-    y = sample_y(k, rng)
-    sigma = 1
-    if c.mode == "symmetric":
-        sigma = 1 if rng.getrandbits(1) else -1
-    if x_level_cap is not None and k > x_level_cap:
-        return CoupledStep(k, y, sigma)
-    level = c.level(k)
-    if y == "red":
-        x = ProductElement(level.factor(1).c, level.factor(2).c)
-        if sigma == -1:
-            x = inverse(x)
-        return CoupledStep(k, y, sigma, x=x)
-    box = level.box()
-    f1 = box.unrank(rng.randrange(box.size()))
-    f2 = box.unrank(rng.randrange(box.size()))
-    return CoupledStep(k, y, sigma, f1=f1, f2=f2, x=level.blue_increment(f1, f2, sigma))
+    return walk(c, 1, rng, kdist, x_level_cap).step(0)
 
 
 @dataclass
 class Trajectory:
-    """A realized coupled walk with record metadata.
+    """A realized coupled walk, stored by column.
 
-    ``zs[i]`` is the partial product after step i+1 and is populated while
-    every increment so far is materialized.  Record metadata derives from the
-    level sequence alone and is recomputable from the steps.
+    Step i + 1 has level ``k[i]``, is red iff ``red[i]``, and has sign -1 iff
+    ``neg[i]`` (``neg`` is None for an asymmetric walk, whose signs are all
+    +1).  ``elements`` maps the index i of each materialized step to its
+    ``(f1, f2, x)``; f1 and f2 are None on red steps and after a CSV round
+    trip.  ``zs[i]`` is the partial product after step i + 1 and is populated
+    while every increment so far is materialized.
+
+    The columns are not changed after construction, except by assigning to
+    ``steps[i]``, which also drops the partial products from step i + 1 on
+    and the record scan that ``analysis`` caches in ``_scan``.
     """
 
-    steps: list
+    k: list
+    red: bytearray
+    neg: Optional[bytearray] = None
+    elements: dict = field(default_factory=dict)
     zs: list = field(default_factory=list)
+    _scan: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
-        return len(self.steps)
+        return len(self.k)
 
     def ks(self) -> list[int]:
-        return [s.k for s in self.steps]
+        return list(self.k)
+
+    def step(self, i: int) -> CoupledStep:
+        """The step at 0-based index i, assembled from the columns."""
+        f1, f2, x = self.elements.get(i, (None, None, None))
+        sigma = -1 if self.neg and self.neg[i] else 1
+        return CoupledStep(self.k[i], "red" if self.red[i] else "blue", sigma, f1, f2, x)
+
+    @property
+    def steps(self) -> _Steps:
+        return _Steps(self)
 
     def z(self, n: int) -> ProductElement:
         """Partial product z_n = x_1 ... x_n (z_0 = identity)."""
@@ -158,6 +164,43 @@ class Trajectory:
         return product_group(lamp, lamp).identity()
 
 
+class _Steps(Sequence):
+    """The ``CoupledStep`` view of a trajectory, one step built per access."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return self._traj.horizon
+
+    def __getitem__(self, i):
+        indices = range(self._traj.horizon)[i]
+        if isinstance(i, slice):
+            return [self._traj.step(j) for j in indices]
+        return self._traj.step(indices)
+
+    def __iter__(self):
+        return map(self._traj.step, range(self._traj.horizon))
+
+    def __setitem__(self, i: int, step: CoupledStep) -> None:
+        traj = self._traj
+        i = range(traj.horizon)[i]
+        if step.sigma == -1 and traj.neg is None:
+            raise ValueError("an asymmetric trajectory has no -1 signs")
+        traj.k[i] = step.k
+        traj.red[i] = step.y == "red"
+        if traj.neg is not None:
+            traj.neg[i] = step.sigma == -1
+        traj.elements.pop(i, None)
+        if step.x is not None:
+            traj.elements[i] = (step.f1, step.f2, step.x)
+        del traj.zs[i:]
+        traj._scan = None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 def walk(
     c: Construction,
     horizon: int,
@@ -170,24 +213,45 @@ def walk(
     ``x_level_cap``: None materializes every increment (requires the
     construction built to the truncation level); 0 keeps metadata only;
     otherwise increments are materialized exactly for steps with k <= cap,
-    which must be built.
+    which must be built.  Each step draws, in this order: k by inversion, its
+    colour, its sign (symmetric mode), and on a materialized blue step the
+    two box indices.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     kdist = kdist or KDistribution()
-    steps = []
-    zs = []
-    z = None
-    broken = False
-    for _ in range(horizon):
-        step = sample_x(c, rng, kdist, x_level_cap=x_level_cap)
-        steps.append(step)
-        if not broken and step.x is not None:
-            z = step.x if z is None else multiply(z, step.x)
-            zs.append(z)
+    cap = kdist.truncation if x_level_cap is None else x_level_cap
+    symmetric = c.mode == "symmetric"
+    ks, red, elements, zs = [], bytearray(), {}, []
+    neg = bytearray() if symmetric else None
+    cum, random, getrandbits = kdist._cum, rng.random, rng.getrandbits
+    bisect_right = bisect.bisect_right
+    for i in range(horizon):
+        k = bisect_right(cum, random()) + 1
+        is_red = _is_red(k, getrandbits)
+        ks.append(k)
+        red.append(is_red)
+        sigma = 1
+        if symmetric:
+            sigma = 1 if getrandbits(1) else -1
+            neg.append(sigma == -1)
+        if k > cap:
+            continue
+        level = c.level(k)
+        if is_red:
+            f1 = f2 = None
+            x = ProductElement(level.factor(1).c, level.factor(2).c)
+            if sigma == -1:
+                x = inverse(x)
         else:
-            broken = True
-    return Trajectory(steps=steps, zs=zs)
+            box = level.box()
+            f1 = box.unrank(rng.randrange(box.size()))
+            f2 = box.unrank(rng.randrange(box.size()))
+            x = level.blue_increment(f1, f2, sigma)
+        elements[i] = (f1, f2, x)
+        if len(zs) == i:
+            zs.append(multiply(zs[-1], x) if zs else x)
+    return Trajectory(ks, red, neg, elements, zs)
 
 
 # -- exact pmf oracle ----------------------------------------------------------
@@ -295,21 +359,22 @@ def read_trajectory_csv(path) -> Trajectory:
     from .groups import decode
 
     csv.field_size_limit(2**31 - 1)  # partial products outgrow the default cap
-    steps = []
-    zs = []
-    broken = False
+    traj = Trajectory([], bytearray(), bytearray())
     with open(path) as fh:
         rows = [line for line in fh if not line.startswith("#")]
     reader = csv.reader(rows)
     header = next(reader)
     if header != TRAJECTORY_COLUMNS:
         raise OracleRangeError(f"unexpected trajectory columns: {header}")
-    for row in reader:
+    for i, row in enumerate(reader):
         (_, k, y, sigma, x_text, z_text, *_rest) = row
-        x = decode(x_text) if x_text else None
-        steps.append(CoupledStep(int(k), y, int(sigma), x=x))
-        if z_text and not broken:
-            zs.append(decode(z_text))
-        else:
-            broken = True
-    return Trajectory(steps=steps, zs=zs)
+        if y not in ("red", "blue") or sigma not in ("1", "-1"):
+            raise CorruptFileError(f"{path}: step {i + 1} has colour {y!r} and sign {sigma!r}")
+        traj.k.append(int(k))
+        traj.red.append(y == "red")
+        traj.neg.append(sigma == "-1")
+        if x_text:
+            traj.elements[i] = (None, None, decode(x_text))
+        if z_text and len(traj.zs) == i:
+            traj.zs.append(decode(z_text))
+    return traj

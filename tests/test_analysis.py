@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lampwalk import analysis, sampling
 from lampwalk.analysis import (
     MULTIPLE,
     WindowOracle,
@@ -19,6 +20,7 @@ from lampwalk.analysis import (
     recompose,
     stable_so_far_flags,
     tau_extract,
+    trajectory_report,
 )
 from lampwalk.construction import Construction
 from lampwalk.groups import (
@@ -36,11 +38,7 @@ PE = PRODUCT.identity()
 
 def ky_trajectory(ks, blue_at=None):
     blue_at = set(blue_at or range(1, len(ks) + 1))
-    steps = [
-        CoupledStep(k, "blue" if i in blue_at else "red", 1)
-        for i, k in enumerate(ks, start=1)
-    ]
-    return Trajectory(steps=steps)
+    return Trajectory(list(ks), bytearray(i not in blue_at for i in range(1, len(ks) + 1)))
 
 
 # -- records ---------------------------------------------------------------------
@@ -66,15 +64,49 @@ def test_constant_sequence_single_nonsimple_record():
     assert report.simple_record_times == ()
 
 
-def test_max_exceeds_index_tracking():
-    assert analyze_records([5, 1, 1, 1]).max_exceeds_index_from == 1
-    assert analyze_records([1, 5, 1, 1]).max_exceeds_index_from == 2
-    assert analyze_records([3, 2, 2, 2]).max_exceeds_index_from is None
-
-
 def test_empty_rejected():
     with pytest.raises(ValueError):
         analyze_records([])
+
+
+def definitional_records(ks):
+    """Record, non-strict and simple times straight from their definitions."""
+    times = range(1, len(ks) + 1)
+    records = [i for i in times if all(ks[i - 1] > ks[j - 1] for j in range(1, i))]
+    non_strict = [i for i in times if all(ks[i - 1] >= ks[j - 1] for j in range(1, i))]
+    simple = [
+        i for i in records if all(ks[i - 1] < ks[j - 1] for j in non_strict if j > i)
+    ]
+    return tuple(records), tuple(non_strict), tuple(simple)
+
+
+def per_step_scan(ks, blue):
+    """Stable-so-far flags and dominant record times, one step at a time."""
+    flags, dom = [], []
+    for i in range(1, len(ks) + 1):
+        top = max(ks[:i])
+        argmax = ks.index(top) + 1
+        flags.append(ks[:i].count(top) == 1 and top > i and blue[argmax - 1])
+        dom.append(argmax)
+    return flags, dom
+
+
+def test_record_analytics_match_definitions_on_tie_heavy_sequences():
+    rng = random.Random(41)
+    for _ in range(400):
+        n = rng.randrange(1, 30)
+        span = rng.choice((2, 3, 5, 40))
+        ks = [rng.randrange(1, span) for _ in range(n)]
+        report = analyze_records(ks)
+        got = (report.record_times, report.non_strict_record_times, report.simple_record_times)
+        assert got == definitional_records(ks), ks
+        blue = [rng.random() < 0.7 for _ in range(n)]
+        traj = Trajectory(ks, bytearray(not b for b in blue))
+        flags, dom = per_step_scan(ks, blue)
+        assert (stable_so_far_flags(traj), dominant_record_times(traj)) == (flags, dom), ks
+        bad = [i for i in range(1, n + 1) if not flags[i - 1]]
+        want = (bad[-1] if bad else 0) if flags[-1] else None
+        assert detect_stabilization(traj) == want, ks
 
 
 # -- stabilization ------------------------------------------------------------------
@@ -115,7 +147,7 @@ def test_empirical_stabilized_fraction_grows_with_horizon(mini_asym):
     at_small, at_large = 0, 0
     for _ in range(n_traj):
         traj = walk(mini_asym, horizon, rng, kdist=kd, x_level_cap=0)
-        head = Trajectory(steps=traj.steps[:100])
+        head = Trajectory(traj.k[:100], traj.red[:100])
         at_small += detect_stabilization(head) is not None
         at_large += detect_stabilization(traj) is not None
     assert at_small <= at_large
@@ -190,6 +222,72 @@ def test_tracked_agrees_with_oracle(deep_asym):
         assert found.sigma == d.sigma
         checked[level] += 1
     assert checked[2] > 0
+
+
+def fresh_record_trajectory(horizon):
+    """Every step a fresh blue record above the horizon, every increment materialized."""
+    return Trajectory(
+        [10**6 + i for i in range(horizon)],
+        bytearray(horizon),
+        elements={i: (None, None, PE) for i in range(horizon)},
+        zs=[PE] * horizon,
+    )
+
+
+def test_condition_checks_scan_each_trajectory_once(monkeypatch):
+    # the checks ask for the tracked decomposition at every step; each must
+    # read the one record scan of the trajectory, not redo it
+    passes = []
+    for name in ("stable_so_far_flags", "dominant_record_times", "_record_scan"):
+        original = getattr(analysis, name)
+
+        def counted(*args, _original=original, **kwargs):
+            passes.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, counted)
+
+    def count(horizon):
+        traj = fresh_record_trajectory(horizon)
+        del passes[:]
+        report = check_nontriviality_conditions(traj)
+        assert report.stabilization_time == 0
+        assert report.p_dynamics.status == "pass"
+        assert report.checked_steps == horizon - 1
+        for n in range(1, horizon + 1):
+            assert rank_tracked(traj, n) == 10**6 + n - 1
+            assert decompose_tracked(traj, n).record_time == n
+        return len(passes)
+
+    assert count(2000) == count(20) == 1
+
+
+def test_steps_view_writes_back_to_the_columns():
+    traj = fresh_record_trajectory(6)
+    assert len(traj.steps) == 6 and traj.steps[-1] == traj.step(5)
+    assert list(traj.steps) == traj.steps[:] == traj.steps
+    assert detect_stabilization(traj) == 0
+    traj.steps[3] = CoupledStep(2, "red", 1)
+    assert traj.ks() == [10**6, 10**6 + 1, 10**6 + 2, 2, 10**6 + 4, 10**6 + 5]
+    assert traj.steps[3] == CoupledStep(2, "red", 1)
+    assert len(traj.zs) == 3 and not traj.z_materialized(4)
+    assert stable_so_far_flags(traj) == [True] * 6
+    traj.steps[5] = CoupledStep(10**6 + 4, "blue", 1, x=PE)
+    assert detect_stabilization(traj) is None
+    with pytest.raises(ValueError):
+        traj.steps[0] = CoupledStep(1, "blue", -1)
+
+
+def test_metadata_walk_and_analysis_build_no_step_objects(mini_asym, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CoupledStep was built")
+
+    monkeypatch.setattr(sampling, "CoupledStep", refuse)
+    kd = KDistribution(truncation=10**4)
+    rng = random.Random(43)
+    for _ in range(20):
+        traj = walk(mini_asym, 300, rng, kdist=kd, x_level_cap=0)
+        trajectory_report(traj, mini_asym)
 
 
 # -- exhaustive oracle properties -------------------------------------------------------
@@ -270,7 +368,7 @@ def test_tau_suffix_consistency(mini_asym, mini_walks):
             continue
         first = tail.entries[0].time
         for cut in range(0, min(first - 1, 3)):
-            suffix = Trajectory(steps=traj.steps[cut:], zs=[])
+            suffix = Trajectory(traj.k[cut:], traj.red[cut:])
             i0 = detect_stabilization(suffix)
             assert i0 is not None
             dom = dominant_record_times(suffix)

@@ -1,16 +1,24 @@
 """Coupled sampling: level law, color coupling, increments, exact pmf oracle."""
 
+import dataclasses
 import math
 import random
 
+import pytest
+
 from lampwalk.construction import Config, Construction
+from lampwalk.errors import CorruptFileError
 from lampwalk.groups import ProductElement, inverse, multiply
 from lampwalk.sampling import (
+    CoupledStep,
     KDistribution,
     pmf_eval,
+    read_trajectory_csv,
+    sample_x,
     sample_y,
     support_enumeration,
     walk,
+    write_trajectory_csv,
 )
 from lampwalk.tvbound import exact_joint_pmf
 from lampwalk.verify import PMF_REL_TOL
@@ -24,6 +32,24 @@ def test_normalizer_against_partial_sum_oracle():
     assert round(oracle, 4) == 4.4686
     assert abs(kd.pmf(1) - 1 / oracle) < 1e-12
     assert round(kd.pmf(1), 4) == 0.2238
+
+
+def test_tables_match_the_list_formula():
+    for truncation, exponent in ((1, 1.25), (7, 1.25), (5000, 1.25), (300, 2.0)):
+        kd = KDistribution(truncation, exponent)
+        weights = [k ** -exponent for k in range(1, truncation + 1)]
+        normalizer = math.fsum(weights)
+        pmf = [w / normalizer for w in weights]
+        cum = []
+        acc = 0.0
+        for p in pmf:
+            acc += p
+            cum.append(acc)
+        cum[-1] = 1.0
+        assert kd.normalizer == normalizer
+        assert kd.pmf_vector() == pmf
+        assert [kd.pmf(k) for k in range(0, truncation + 2)] == [0.0, *pmf, 0.0]
+        assert kd._cum == cum
 
 
 def test_pmf_monotone_and_normalized():
@@ -77,6 +103,66 @@ def test_walk_partial_products_recompute(mini_asym):
     for i, step in enumerate(traj.steps, start=1):
         z = step.x if z is None else multiply(z, step.x)
         assert traj.z(i) == z
+
+
+def reference_walk(c, horizon, rng, kdist, cap):
+    """Steps and partial products drawn one step at a time, in the sampler's order."""
+    steps, zs = [], []
+    for _ in range(horizon):
+        k = kdist.sample(rng)
+        y = sample_y(k, rng)
+        sigma = (1 if rng.getrandbits(1) else -1) if c.mode == "symmetric" else 1
+        f1 = f2 = x = None
+        if cap is None or k <= cap:
+            level = c.level(k)
+            if y == "red":
+                x = ProductElement(level.factor(1).c, level.factor(2).c)
+                if sigma == -1:
+                    x = inverse(x)
+            else:
+                box = level.box()
+                f1 = box.unrank(rng.randrange(box.size()))
+                f2 = box.unrank(rng.randrange(box.size()))
+                x = level.blue_increment(f1, f2, sigma)
+        steps.append(CoupledStep(k, y, sigma, f1, f2, x))
+        if x is not None and len(zs) == len(steps) - 1:
+            zs.append(multiply(zs[-1], x) if zs else x)
+    return steps, zs
+
+
+@pytest.mark.parametrize(
+    "fixture, truncation, cap",
+    [
+        ("mini_asym", 50, 0), ("mini_asym", 50, 1), ("mini_asym", 50, 2), ("mini_asym", 2, None),
+        ("mini_sym", 50, 0), ("mini_sym", 50, 1), ("mini_sym", 50, 2), ("mini_sym", 2, None),
+        ("paper_asym", 10**4, 0),
+    ],
+)
+def test_walk_matches_a_per_step_reference(fixture, truncation, cap, request):
+    c = request.getfixturevalue(fixture)
+    kd = KDistribution(truncation=truncation)
+    for seed in range(3):
+        traj = walk(c, 150, random.Random(seed), kdist=kd, x_level_cap=cap)
+        steps, zs = reference_walk(c, 150, random.Random(seed), kd, cap)
+        assert list(traj.steps) == steps
+        assert traj.zs == zs
+        assert (traj.neg is not None) == (c.mode == "symmetric")
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert [sample_x(c, rng, kd, cap) for _ in range(20)] == reference_walk(c, 20, ref, kd, cap)[0]
+
+
+def test_trajectory_csv_roundtrip_keeps_the_columns(mini_sym, tmp_path):
+    traj = walk(mini_sym, 60, random.Random(7), kdist=KDistribution(truncation=50), x_level_cap=2)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, traj, "d" * 64)
+    back = read_trajectory_csv(path)
+    assert back.steps == [dataclasses.replace(s, f1=None, f2=None) for s in traj.steps]
+    assert back.zs == traj.zs and any(back.neg)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].replace(",red,", ",green,").replace(",blue,", ",green,")
+    path.write_text("".join(lines))
+    with pytest.raises(CorruptFileError, match="colour 'green'"):
+        read_trajectory_csv(path)
 
 
 def test_walk_determinism(mini_asym):
