@@ -176,24 +176,36 @@ def decompose_tracked(traj: Trajectory, n: int, c: Optional[Construction] = None
     k_m > n >= m, so the power fits the window's coset factor.  When the
     elements are materialized the window certificates are asserted too.
     """
+    tracked = _tracked_q1(traj, n, c)
+    if tracked is None:
+        return None
+    level, m, q1 = tracked
+    step = traj.step(m - 1)
+    q2 = None
+    if all(i in traj.elements for i in range(m, n)):
+        q2 = _product_tail(traj, m, n)
+    return Decomposition(level, m, q1, step.f1, step.f2, q2, step.sigma)
+
+
+def _tracked_q1(traj: Trajectory, n: int, c: Optional[Construction]):
+    """(level, m, q1) of the tracked decomposition of z_n, or None if unstable.
+
+    Reads only the record scan and the stored partial products, so it costs
+    no group multiply; q2 = x_{m+1} ... x_n costs n - m of them.
+    """
     level = rank_tracked(traj, n)
     if level == 0:
         return None
     m = _scan(traj)[1][n - 1]
-    step = traj.step(m - 1)
-    if step.y != "blue":
+    if traj.red[m - 1]:
         raise AssertionError("stable step with a red dominant record")
     q1 = traj.z(m - 1) if traj.z_materialized(m - 1) else None
-    q2 = None
-    if all(i in traj.elements for i in range(m, n)):
-        q2 = _product_tail(traj, m, n, c)
-    d = Decomposition(level, m, q1, step.f1, step.f2, q2, step.sigma)
     if c is not None and q1 is not None and m > 1:
-        _assert_window_membership(c, d, m)
-    return d
+        _assert_window_membership(c, level, q1, m)
+    return level, m, q1
 
 
-def _product_tail(traj: Trajectory, m: int, n: int, c) -> ProductElement:
+def _product_tail(traj: Trajectory, m: int, n: int) -> ProductElement:
     if m == n:
         from .groups import lamplighter_group, product_group
 
@@ -205,14 +217,14 @@ def _product_tail(traj: Trajectory, m: int, n: int, c) -> ProductElement:
     return out
 
 
-def _assert_window_membership(c: Construction, d: Decomposition, m: int) -> None:
+def _assert_window_membership(c: Construction, level: int, q1, m: int) -> None:
     """Sound certificate check that q1 (a product of m - 1 >= 1 increments)
     fits the window's left coset power, where the construction knows A."""
-    if d.level > c.max_built + 1:
+    if level > c.max_built + 1:
         return
-    for j, comp in ((1, d.q1.left), (2, d.q1.right)):
-        if not certify_power(c.a_state(j, d.level).cert, m - 1).covers(comp):
-            raise AssertionError(f"tracked q1 escapes the A({j},{d.level})^{m - 1} certificate")
+    for j, comp in ((1, q1.left), (2, q1.right)):
+        if not certify_power(c.a_state(j, level).cert, m - 1).covers(comp):
+            raise AssertionError(f"tracked q1 escapes the A({j},{level})^{m - 1} certificate")
 
 
 # -- exhaustive window index (mini schedule) ---------------------------------------
@@ -484,11 +496,12 @@ def check_nontriviality_conditions(traj: Trajectory, c: Optional[Construction] =
             p_bad = i + 1
             break
         if traj.z_materialized(i + 1) and traj.z_materialized(i):
-            d_next = decompose_tracked(traj, i + 1, c)
-            d_here = decompose_tracked(traj, i, c)
-            if d_next is not None and d_here is not None and d_next.q1 is not None:
-                target = d_here.q1 if same else traj.z(i)
-                if d_next.q1 != target:
+            # the law reads only q1 = z_{m-1}, so q2 is never formed here
+            t_next = _tracked_q1(traj, i + 1, c)
+            t_here = _tracked_q1(traj, i, c)
+            if t_next is not None and t_here is not None and t_next[2] is not None:
+                target = t_here[2] if same else traj.z(i)
+                if t_next[2] != target:
                     p_bad = i + 1
                     break
     p_dyn = ConditionStatus(

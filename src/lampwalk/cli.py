@@ -273,13 +273,21 @@ def cmd_verify_switcher(args) -> int:
         "passed": report.passed,
         "mode": report.mode,
         "verified_against": report.verified_against,
-        "witness": None
-        if report.witness is None
-        else json.loads(json.dumps(report.witness, default=lambda g: encode(g))),
+        "witness": None if report.witness is None else _witness_json(report.witness),
         "reason": report.reason,
     }
     print(json.dumps(payload, indent=1, sort_keys=True))
     return 0 if report.passed else 1
+
+
+def _witness_json(part):
+    """A switcher witness as JSON: elements encoded, signs kept as ints.
+
+    Elements are tuples themselves, so only a plain tuple is structure.
+    """
+    if type(part) is tuple:
+        return [_witness_json(p) for p in part]
+    return part if isinstance(part, int) else encode(part)
 
 
 def cmd_inspect(args) -> int:

@@ -13,12 +13,21 @@ Multiplication follows the left-shift convention
 
 where L + t shifts every lamp index by t.  Every window certificate downstream
 depends on this convention, so it is fixed here once.
+
+Lamplighter and product elements are tuples: ``LamplighterElement`` is
+``(lamps, cursor)`` and ``ProductElement`` is ``(left, right)``, subclasses
+of ``tuple`` whose fields are properties.  Hashing and equality therefore run
+in C, and an element equals (and hashes like) the plain tuple of its fields;
+no container mixes elements with plain tuples.  ``*`` is the group product,
+and tuple repetition and concatenation are closed off.  The Z^2 control
+element is a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import GroupMismatchError, ParseError, SizeCapError
@@ -27,32 +36,74 @@ from .errors import GroupMismatchError, ParseError, SizeCapError
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class LamplighterElement:
-    """Element of Z/2 wr Z: lit lamps (sorted tuple of ints) and a cursor."""
 
-    lamps: tuple[int, ...]
-    cursor: int
+class _TupleElement(tuple):
+    """A two-field element stored as a tuple; subclasses name the fields."""
 
-    def __post_init__(self):
-        if list(self.lamps) != sorted(set(self.lamps)):
-            raise ValueError(f"lamps must be sorted and duplicate-free: {self.lamps}")
+    __slots__ = ()
+    _names: tuple[str, str]
+
+    def __repr__(self) -> str:
+        a, b = self._names
+        return f"{type(self).__name__}({a}={self[0]!r}, {b}={self[1]!r})"
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through the public constructor
+        return tuple(self)
+
+    # tuple repetition and concatenation are not group operations
+    def __rmul__(self, other):
+        return NotImplemented
+
+    def __add__(self, other):
+        return NotImplemented
+
+
+class LamplighterElement(_TupleElement):
+    """Element of Z/2 wr Z: lit lamps (sorted tuple of ints) and a cursor.
+
+    Stored as the tuple ``(lamps, cursor)``; see the module docstring.
+    """
+
+    __slots__ = ()
+    _names = ("lamps", "cursor")
+
+    def __new__(cls, lamps, cursor: int):
+        lamps = tuple(lamps)
+        if list(lamps) != sorted(set(lamps)):
+            raise ValueError(f"lamps must be sorted and duplicate-free: {lamps}")
+        return _new(cls, (lamps, cursor))
+
+    lamps = property(itemgetter(0))
+    cursor = property(itemgetter(1))
 
     def __mul__(self, other: "LamplighterElement") -> "LamplighterElement":
-        if not isinstance(other, LamplighterElement):
+        if type(other) is not LamplighterElement:
             raise GroupMismatchError(f"cannot multiply lamplighter element by {type(other).__name__}")
-        t = self.cursor
-        lamps = set(self.lamps).symmetric_difference([p + t for p in other.lamps])
-        return _lamp(tuple(sorted(lamps)), t + other.cursor)
+        lamps = self[0]
+        t = self[1]
+        theirs = other[0]
+        if theirs:
+            if t:
+                theirs = tuple([p + t for p in theirs])
+            # lamp ranges that do not meet concatenate; only overlaps need the xor
+            if not lamps or lamps[-1] < theirs[0]:
+                lamps = lamps + theirs
+            elif theirs[-1] < lamps[0]:
+                lamps = theirs + lamps
+            else:
+                lamps = tuple(sorted(set(lamps).symmetric_difference(theirs)))
+        return _new(LamplighterElement, (lamps, t + other[1]))
 
     def inverse(self) -> "LamplighterElement":
-        t = self.cursor
+        t = self[1]
         # a shift keeps the lamps strictly ascending
-        return _lamp(tuple([p - t for p in self.lamps]), -t)
+        return _new(LamplighterElement, (tuple([p - t for p in self[0]]), -t))
 
     def is_identity(self) -> bool:
-        return not self.lamps and self.cursor == 0
+        return not self[0] and self[1] == 0
 
 
 def _lamp(lamps: tuple[int, ...], cursor: int) -> LamplighterElement:
@@ -60,29 +111,31 @@ def _lamp(lamps: tuple[int, ...], cursor: int) -> LamplighterElement:
 
     Outside input goes through the public constructor or decode, which validate.
     """
-    g = object.__new__(LamplighterElement)
-    object.__setattr__(g, "lamps", lamps)
-    object.__setattr__(g, "cursor", cursor)
-    return g
+    return _new(LamplighterElement, (lamps, cursor))
 
 
-@dataclass(frozen=True)
-class ProductElement:
-    """Element of a direct product, stored componentwise."""
+class ProductElement(_TupleElement):
+    """Element of a direct product, stored as the tuple ``(left, right)``."""
 
-    left: object
-    right: object
+    __slots__ = ()
+    _names = ("left", "right")
+
+    def __new__(cls, left, right):
+        return _new(cls, (left, right))
+
+    left = property(itemgetter(0))
+    right = property(itemgetter(1))
 
     def __mul__(self, other: "ProductElement") -> "ProductElement":
-        if not isinstance(other, ProductElement):
+        if type(other) is not ProductElement:
             raise GroupMismatchError(f"cannot multiply product element by {type(other).__name__}")
-        return ProductElement(multiply(self.left, other.left), multiply(self.right, other.right))
+        return _new(ProductElement, (multiply(self[0], other[0]), multiply(self[1], other[1])))
 
     def inverse(self) -> "ProductElement":
-        return ProductElement(inverse(self.left), inverse(self.right))
+        return _new(ProductElement, (inverse(self[0]), inverse(self[1])))
 
     def is_identity(self) -> bool:
-        return is_identity(self.left) and is_identity(self.right)
+        return is_identity(self[0]) and is_identity(self[1])
 
 
 @dataclass(frozen=True)
@@ -173,8 +226,7 @@ def product_group(left: GroupDescriptor, right: GroupDescriptor) -> GroupDescrip
 
 
 def multiply(a: Element, b: Element) -> Element:
-    if type(a) is not type(b):
-        raise GroupMismatchError(f"cannot multiply {type(a).__name__} by {type(b).__name__}")
+    # each element's __mul__ rejects an operand of another kind
     return a * b
 
 

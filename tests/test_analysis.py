@@ -262,6 +262,37 @@ def test_condition_checks_scan_each_trajectory_once(monkeypatch):
     assert count(2000) == count(20) == 1
 
 
+def test_condition_checks_multiply_linearly_in_the_horizon(monkeypatch):
+    # one early dominant record keeps every later step inside its window, so
+    # q2 = x_2 ... x_n spans the whole trajectory; the checks read only q1,
+    # and building q2 at every step would cost O(H^2) multiplies
+    calls = []
+    original = analysis.multiply
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(analysis, "multiply", counted)
+
+    def count(horizon):
+        traj = Trajectory(
+            [10**6] + [1] * (horizon - 1),
+            bytearray(horizon),
+            elements={i: (None, None, PE) for i in range(horizon)},
+            zs=[PE] * horizon,
+        )
+        del calls[:]
+        report = check_nontriviality_conditions(traj)
+        assert report.stabilization_time == 0
+        assert report.p_dynamics.status == "pass"
+        assert report.checked_steps == horizon - 1
+        return len(calls)
+
+    assert count(250) <= 250
+    assert count(1000) <= 1000
+
+
 def test_steps_view_writes_back_to_the_columns():
     traj = fresh_record_trajectory(6)
     assert len(traj.steps) == 6 and traj.steps[-1] == traj.step(5)

@@ -137,7 +137,23 @@ def test_verify_switcher_subcommand(tmp_path):
     failing = run(["verify-switcher", "set.txt", "0|0"], tmp_path, check=False)
     assert failing.returncode == 1
     payload = json.loads(failing.stdout)
-    assert not payload["passed"] and payload["witness"] is not None
+    assert not payload["passed"] and payload["witness"] == ["0|", "0|"]
+
+
+def test_verify_switcher_witnesses_are_encoded(tmp_path):
+    # elements print in the canonical grammar and signs as ints, for each
+    # witness shape: one pair or triple landing in A, and two that collide
+    (tmp_path / "cursors.txt").write_text("0|\n1|\n")
+    cases = [
+        (["cursors.txt", "1|"], ["0|", "0|"]),
+        (["cursors.txt", "10|"], [["0|", "1|"], ["1|", "0|"]]),
+        (["cursors.txt", "1|", "--super"], ["0|", 1, "0|"]),
+        (["cursors.txt", "1|0", "--super"], [["0|", 1, "0|"], ["1|", -1, "1|"]]),
+    ]
+    for args, witness in cases:
+        proc = run(["verify-switcher", *args], tmp_path, check=False)
+        assert proc.returncode == 1, args
+        assert json.loads(proc.stdout)["witness"] == witness, args
 
 
 def test_inspect(tmp_path):

@@ -1,7 +1,10 @@
 """Exact arithmetic, encoding, and enumeration for the three group kinds."""
 
+import copy
+import pickle
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -121,6 +124,107 @@ def test_products_and_inverses_match_validated_wreath_law():
             assert got == want and hash(got) == hash(want)
             assert type(got.lamps) is tuple
             assert all(x < y for x, y in zip(got.lamps, got.lamps[1:]))
+
+
+def reference_product(a, b):
+    """The wreath law written with sets: (L1 xor (L2 + t1), t1 + t2)."""
+    t = a.cursor
+    return tuple(sorted(set(a.lamps) ^ {p + t for p in b.lamps})), t + b.cursor
+
+
+def lamp_relation(a, b):
+    """How a's lamps meet b's lamps shifted by a's cursor."""
+    mine, theirs = a.lamps, [p + a.cursor for p in b.lamps]
+    if not mine or not theirs:
+        return "empty"
+    if mine[-1] < theirs[0] or theirs[-1] < mine[0]:
+        gap = max(theirs[0] - mine[-1], mine[0] - theirs[-1])
+        return "adjacent" if gap == 1 else "disjoint"
+    if mine[-1] == theirs[0] or theirs[-1] == mine[0]:
+        return "touching"
+    return "overlapping"
+
+
+def spread_lamp(rng):
+    """A lamplighter element with lamps anywhere in a window of random offset."""
+    span = rng.choice((1, 3, 8))
+    offset = rng.randrange(-12, 13)
+    lamps = sorted(rng.sample(range(offset, offset + span + 1), rng.randrange(0, min(span, 4) + 1)))
+    return LamplighterElement(lamps, rng.randrange(-12, 13))
+
+
+def test_multiply_matches_the_set_formula_on_every_lamp_relation():
+    rng = random.Random(9)
+    e = LAMP.identity()
+    seen = Counter()
+    for _ in range(20_000):
+        a, b, c = spread_lamp(rng), spread_lamp(rng), spread_lamp(rng)
+        seen[lamp_relation(a, b)] += 1
+        seen["negative cursor"] += a.cursor < 0
+        got = multiply(a, b)
+        assert (got.lamps, got.cursor) == reference_product(a, b)
+        assert type(got) is LamplighterElement and type(got.lamps) is tuple
+        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+        assert multiply(a, inverse(a)) == e == multiply(inverse(a), a)
+        p, q = ProductElement(a, b), ProductElement(c, a)
+        pq = multiply(p, q)
+        assert type(pq) is ProductElement
+        assert (pq.left, pq.right) == (multiply(a, c), multiply(b, a))
+        assert is_identity(multiply(p, inverse(p)))
+    for relation in ("empty", "disjoint", "adjacent", "touching", "overlapping", "negative cursor"):
+        assert seen[relation] >= 200, (relation, seen)
+
+
+def test_hash_and_equality_are_those_of_the_field_tuple():
+    # set iteration orders, and so every seeded artifact, rest on these hashes
+    rng = random.Random(10)
+    pool = [random_lamp(rng, span=1) for _ in range(300)]
+    products = [ProductElement(rng.choice(pool), rng.choice(pool)) for _ in range(300)]
+    for g in pool:
+        assert hash(g) == hash((g.lamps, g.cursor))
+        assert g == (g.lamps, g.cursor)
+    for p in products:
+        assert hash(p) == hash((p.left, p.right))
+    for elems in (pool, products):
+        for _ in range(5000):
+            g, h = rng.choice(elems), rng.choice(elems)
+            assert (g == h) == (encode(g) == encode(h))
+            assert (g != h) == (encode(g) != encode(h))
+    assert len({encode(g) for g in pool}) < len(pool)  # equal pairs occurred
+    assert all(g != p for g in pool for p in products[:20])
+
+
+@pytest.mark.parametrize(
+    "g", [LamplighterElement((0, 3), -2), ProductElement(LAMP_A, LAMP_S_INV)],
+    ids=["lamplighter", "product"],
+)
+def test_tuple_operations_stay_closed(g):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        2 * g
+    with pytest.raises(GroupMismatchError):
+        g * 2
+    with pytest.raises(TypeError, match="unsupported operand"):
+        g + g
+
+
+@pytest.mark.parametrize(
+    "g", [LamplighterElement((0, 3), -2), ProductElement(LAMP_A, LAMP_S_INV)],
+    ids=["lamplighter", "product"],
+)
+def test_copy_deepcopy_and_pickle_keep_the_element(g):
+    copies = [copy.copy(g), copy.deepcopy(g)]
+    copies += [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert type(twin) is type(g) and twin == g and hash(twin) == hash(g)
+        assert encode(twin) == encode(g)
+
+
+def test_repr_names_the_fields():
+    assert repr(LamplighterElement((0, 3), -2)) == "LamplighterElement(lamps=(0, 3), cursor=-2)"
+    assert repr(ProductElement(LAMP_A, LAMP_S)) == (
+        "ProductElement(left=LamplighterElement(lamps=(0,), cursor=0),"
+        " right=LamplighterElement(lamps=(), cursor=1))"
+    )
 
 
 def test_inverse_examples():
