@@ -42,7 +42,6 @@ from .setalg import (
 )
 from .switchers import (
     SwitcherReport,
-    analytic_superswitcher,
     analytic_switcher,
     find_switcher_bfs,
     is_superswitcher,

@@ -34,7 +34,7 @@ from .construction import Construction
 from .errors import MembershipError, OracleRangeError
 from .groups import ProductElement, encode, multiply
 from .sampling import Trajectory
-from .setalg import certify_power
+from .setalg import BRUTE_BOX_CAP, certify_power
 
 # -- records -------------------------------------------------------------------
 
@@ -247,7 +247,7 @@ class WindowIndex:
         e = c.profile.exponent_level(i)
         lv = c.level(i)
         box = lv.box()
-        if box.n.bit_length() > 16 or box.size() > 512:
+        if not box.fits(BRUTE_BOX_CAP):
             raise OracleRangeError(f"level {i} box too large for window enumeration")
         self.fs = list(box.iter_elements())
         self.sigmas = (1, -1) if c.mode == "symmetric" else (1,)

@@ -31,6 +31,7 @@ the sha256 of the canonical body, and loading rebuilds the levels.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from typing import Optional
@@ -47,7 +48,6 @@ from .groups import (
     ProductElement,
     encode,
     inverse,
-    is_identity,
     lamplighter_group,
     multiply,
     product_group,
@@ -67,12 +67,7 @@ from .setalg import (
     power_set,
     symmetrize,
 )
-from .switchers import (
-    analytic_superswitcher,
-    analytic_switcher,
-    is_superswitcher,
-    is_switcher,
-)
+from .switchers import analytic_switcher, is_superswitcher, is_switcher
 
 # the canonical body keeps its v1 first line, so the digests that files and
 # manifests carry stay fixed; a v2 file holds the recipe and that digest only
@@ -193,6 +188,11 @@ class Level:
         x = ProductElement(self.factors[0].blue(f1, f2), self.factors[1].blue(f2, f1))
         return inverse(x) if sigma == -1 else x
 
+    def red_increment(self, sigma: int = 1) -> ProductElement:
+        """X = (c1, c2)^sigma, the increment of a red step."""
+        x = ProductElement(self.factors[0].c, self.factors[1].c)
+        return inverse(x) if sigma == -1 else x
+
 
 @dataclass
 class AState:
@@ -278,7 +278,8 @@ class Construction:
         states = self._a_states[-1]
         e = self.profile.exponent_level(i)
 
-        n = self._choose_box(i, states)
+        powers = self._a_powers(i, states)
+        n = self._choose_box(i, states, powers)
         if self.max_built:
             n = max(n, self.levels[-1].n)
         box = SkewBox(n)
@@ -294,12 +295,12 @@ class Construction:
             j = idx + 1
             alphabet = certify_union(st.cert, box_cert_pm)  # A u S(+-) u F(+-)
             c1 = certify_power(alphabet, e + 2)
-            b1 = analytic_superswitcher(c1) if sym else analytic_switcher(c1)
+            b1 = analytic_switcher(c1)
             b1_cert = certify(explicit(self.factor_group, [b1]))
             if sym:
                 b1_cert = certify_symmetrize(b1_cert)
             c2 = certify_power(certify_union(alphabet, b1_cert), 2 * e + 8)
-            b2 = analytic_superswitcher(c2) if sym else analytic_switcher(c2)
+            b2 = analytic_switcher(c2)
             fl = FactorLevel(
                 a_cert=st.cert, a_card=st.card, core_len=st.core_len,
                 a_exact=st.exact, b1=b1, b2=b2, c=cs[idx],
@@ -307,12 +308,14 @@ class Construction:
             factors.append(fl)
             next_states.append(self._advance_state(i, j, st, fl, box, box_cert))
 
+        # the exact invariance ratio, when every A^p materializes
+        ratio = None if None in powers else max(exact_union_loss(a, box) for a in powers)
         level = Level(
             index=i,
             n=n,
             factors=tuple(factors),
             folner_certified=self.profile.folner_enforced,
-            folner_ratio=self._exact_ratio(i, states, box),
+            folner_ratio=ratio,
         )
         if cfg.brute_verify and self.schedule == "mini" and i <= cfg.brute_level_cap:
             self._brute_verify(level)
@@ -320,24 +323,29 @@ class Construction:
         self._a_states.append(tuple(next_states))
         return level
 
-    def _choose_box(self, i: int, states) -> int:
+    def _a_powers(self, i: int, states) -> list:
+        """A(j,i)^p per factor, p = e + 1, where the core is exact and the
+        power small enough to materialize; None for the other factors."""
         cfg = self.config
+        p = self.profile.exponent_level(i) + 1
+        return [
+            power_set(self._core_set(j, st.core_len), p, size_cap=cfg.size_cap)
+            if st.exact and st.core_len ** p <= cfg.folner_power_cap else None
+            for j, st in enumerate(states, start=1)
+        ]
+
+    def _choose_box(self, i: int, states, powers) -> int:
         if not self.profile.folner_enforced:
-            return min(i, cfg.mini_box_cap)
+            return min(i, self.config.mini_box_cap)
         p = self.profile.exponent_level(i) + 1
         n = 1
-        for idx, st in enumerate(states):
+        for st, elements in zip(states, powers):
             if st.card is None:
                 raise ScheduleLimitError(
                     f"level {i}: cardinality bound no longer representable; "
                     f"the paper schedule tops out at level {self.max_built}"
                 )
             cert_p = certify_power(st.cert, p)
-            elements = None
-            if st.exact and st.core_len ** p <= cfg.folner_power_cap:
-                elements = power_set(
-                    self._core_set(idx + 1, st.core_len), p, size_cap=cfg.size_cap
-                )
             card = None if elements is not None else st.card ** p
             nj = folner_for(cert_p, folner_delta(i), card_bound=card, elements=elements).n
             n = max(n, nj)
@@ -345,19 +353,6 @@ class Construction:
 
     def _core_set(self, j: int, core_len: int) -> ExplicitSet:
         return explicit(self.factor_group, self._core_lists[j - 1][:core_len])
-
-    def _exact_ratio(self, i, states, box) -> Optional[Fraction]:
-        """Exact invariance ratio of the box under A^p, when A^p materializes."""
-        p = self.profile.exponent_level(i) + 1
-        worst = None
-        for idx, st in enumerate(states):
-            if not (st.exact and st.core_len ** p <= self.config.folner_power_cap):
-                return None
-            aset = power_set(self._core_set(idx + 1, st.core_len), p,
-                             size_cap=self.config.size_cap)
-            ratio = exact_union_loss(aset, box)
-            worst = ratio if worst is None else max(worst, ratio)
-        return worst
 
     def _core_append(self, j: int, g) -> None:
         index = self._core_index[j - 1]
@@ -491,11 +486,13 @@ class Construction:
         c(j,i) enters A(j,i+1), so membership is known far beyond the built
         levels without any box data.
         """
-        if is_identity(g):
-            return 1
-        for i in range(1, self.max_built + 2):
-            if self.membership_a(j, i, g) == "yes":
-                return i
+        pos = self._core_index[j - 1].get(g)
+        if pos is not None:
+            # cores are nested prefixes of one list: g lies in A(j,i) from the
+            # first i whose core is longer than g's position on
+            i = bisect_right(self._a_states, pos, key=lambda st: st[j - 1].core_len)
+            if i < len(self._a_states):
+                return i + 1
         for idx in range(self.config.membership_scan_cap):
             pair = self._enum.element(idx)
             comp = pair.left if j == 1 else pair.right

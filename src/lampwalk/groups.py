@@ -14,13 +14,13 @@ Multiplication follows the left-shift convention
 where L + t shifts every lamp index by t.  Every window certificate downstream
 depends on this convention, so it is fixed here once.
 
-Lamplighter and product elements are tuples: ``LamplighterElement`` is
-``(lamps, cursor)`` and ``ProductElement`` is ``(left, right)``, subclasses
-of ``tuple`` whose fields are properties.  Hashing and equality therefore run
-in C, and an element equals (and hashes like) the plain tuple of its fields;
-no container mixes elements with plain tuples.  ``*`` is the group product,
-and tuple repetition and concatenation are closed off.  The Z^2 control
-element is a frozen dataclass.
+Elements are tuples: ``LamplighterElement`` is ``(lamps, cursor)``,
+``ProductElement`` is ``(left, right)`` and ``AbelianControlElement`` is
+``(x, y)``, subclasses of ``tuple`` whose fields are properties.  Hashing and
+equality therefore run in C, and an element equals (and hashes like) the
+plain tuple of its fields; no container mixes elements with plain tuples.
+``*`` is the group product, and tuple repetition and concatenation are
+closed off.
 """
 
 from __future__ import annotations
@@ -138,23 +138,28 @@ class ProductElement(_TupleElement):
         return is_identity(self[0]) and is_identity(self[1])
 
 
-@dataclass(frozen=True)
-class AbelianControlElement:
-    """Element of Z^2 under componentwise addition."""
+class AbelianControlElement(_TupleElement):
+    """Element of Z^2 under componentwise addition, stored as ``(x, y)``."""
 
-    x: int
-    y: int
+    __slots__ = ()
+    _names = ("x", "y")
+
+    def __new__(cls, x: int, y: int):
+        return _new(cls, (x, y))
+
+    x = property(itemgetter(0))
+    y = property(itemgetter(1))
 
     def __mul__(self, other: "AbelianControlElement") -> "AbelianControlElement":
-        if not isinstance(other, AbelianControlElement):
+        if type(other) is not AbelianControlElement:
             raise GroupMismatchError(f"cannot multiply control element by {type(other).__name__}")
-        return AbelianControlElement(self.x + other.x, self.y + other.y)
+        return _new(AbelianControlElement, (self[0] + other[0], self[1] + other[1]))
 
     def inverse(self) -> "AbelianControlElement":
-        return AbelianControlElement(-self.x, -self.y)
+        return _new(AbelianControlElement, (-self[0], -self[1]))
 
     def is_identity(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return self[0] == 0 and self[1] == 0
 
 
 Element = LamplighterElement | ProductElement | AbelianControlElement

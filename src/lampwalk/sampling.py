@@ -5,16 +5,21 @@ the exponent is a knob).  Y is "red" with probability exactly 2**-K, sampled
 by exact bit blocks.  On blue steps two independent uniform box elements are
 drawn by unranking uniform indices, and the increment is
 
-    X = (f1 b1 f2 b2,  f2 b1' f1 b2')                     (asymmetric)
-    X = (same)^sigma, red: (c1, c2)^sigma                 (symmetric)
+    blue: X = (f1 b1 f2 b2,  f2 b1' f1 b2')^sigma         (``Level.blue_increment``)
+    red:  X = (c1, c2)^sigma                              (``Level.red_increment``)
 
-(``Level.blue_increment``; each marginal is f b1 s b2 with f, s independent
-and uniform on the level box, while the pair stays coupled.)
+with sigma = +1 always in asymmetric mode.  Each marginal of a blue step is
+f b1 s b2 with f, s independent and uniform on the level box, while the pair
+stays coupled.
 
 Element materialization is capped: steps whose level exceeds the cap keep
 exact (k, y, sigma) metadata but no group element, since deep-level boxes are
 not materializable at desk scale.  Partial products are available up to the
 first unmaterialized step.
+
+``pmf_eval`` is the exact step law read backwards, by parsing a given element
+at oracle scale; the forward law, every branch enumerated with its mass, is
+``tvbound.exact_joint_pmf``.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Optional
 from .construction import Construction
 from .errors import CorruptFileError, OracleRangeError
 from .groups import ProductElement, encode, inverse, multiply
+from .setalg import ORACLE_BOX_CAP
 
 DEFAULT_EXPONENT = 1.25
 DEFAULT_TRUNCATION = 1_000_000
@@ -240,9 +246,7 @@ def walk(
         level = c.level(k)
         if is_red:
             f1 = f2 = None
-            x = ProductElement(level.factor(1).c, level.factor(2).c)
-            if sigma == -1:
-                x = inverse(x)
+            x = level.red_increment(sigma)
         else:
             box = level.box()
             f1 = box.unrank(rng.randrange(box.size()))
@@ -261,7 +265,7 @@ def _blue_parses(c: Construction, k: int, g: ProductElement):
     """All (f1, f2) with X_blue(k, f1, f2) = g, by bounded enumeration."""
     level = c.level(k)
     box = level.box()
-    if box.n.bit_length() > 20 or box.size() > 4096:
+    if not box.fits(ORACLE_BOX_CAP):
         raise OracleRangeError(f"level {k} box too large for the exact oracle")
     out = []
     for f1 in box.iter_elements():
@@ -277,8 +281,8 @@ def _plain_mass(c: Construction, g: ProductElement, kdist: KDistribution) -> flo
     for k in range(1, kdist.truncation + 1):
         level = c.level(k)
         pk = kdist.pmf(k)
-        red_p = 2.0 ** -k if k < 1074 else 0.0
-        if g == ProductElement(level.factor(1).c, level.factor(2).c):
+        red_p = 2.0 ** -k
+        if g == level.red_increment():
             total += pk * red_p
         parses = _blue_parses(c, k, g)
         if parses:
@@ -296,27 +300,6 @@ def pmf_eval(c: Construction, g: ProductElement, kdist: KDistribution) -> float:
         b = _plain_mass(c, inverse(g), kdist)
         return 0.5 * (a + b)
     return _plain_mass(c, g, kdist)
-
-
-def support_enumeration(c: Construction, kdist: KDistribution) -> list[ProductElement]:
-    """All elements nu charges (truncated law), each listed once."""
-    out = set()
-    for k in range(1, kdist.truncation + 1):
-        level = c.level(k)
-        box = level.box()
-        if box.n.bit_length() > 20 or box.size() > 4096:
-            raise OracleRangeError(f"level {k} box too large for support enumeration")
-        reds = [ProductElement(level.factor(1).c, level.factor(2).c)]
-        blues = [
-            level.blue_increment(f1, f2)
-            for f1 in box.iter_elements()
-            for f2 in box.iter_elements()
-        ]
-        for g in reds + blues:
-            out.add(g)
-            if c.mode == "symmetric":
-                out.add(inverse(g))
-    return sorted(out, key=encode)
 
 
 # -- trajectory CSV --------------------------------------------------------------

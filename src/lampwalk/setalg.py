@@ -31,6 +31,11 @@ from .groups import (
 
 DEFAULT_SIZE_CAP = 1_000_000
 
+# the largest boxes the exact oracles enumerate: the pmf oracles walk F x F,
+# while window indexes and brute switcher scans also multiply by powers of A
+ORACLE_BOX_CAP = 4096
+BRUTE_BOX_CAP = 512
+
 
 @dataclass(frozen=True)
 class ExplicitSet:
@@ -105,6 +110,11 @@ class SkewBox:
 
     def size(self) -> int:
         return self.n * (1 << self.n)
+
+    def fits(self, cap: int) -> bool:
+        """Whether the box has at most ``cap`` elements; n * 2**n exceeds cap
+        once n reaches cap's bit length, so a huge n is never expanded."""
+        return self.n < cap.bit_length() and self.size() <= cap
 
     def __contains__(self, g) -> bool:
         if not isinstance(g, LamplighterElement):

@@ -1,4 +1,4 @@
-"""Switcher elements: brute-force verification, BFS search, analytic builds.
+"""Switcher elements: brute-force verification, word-ball search, analytic builds.
 
 An A-switcher is an element b with A * AbA disjoint from A and with
 (a1, a2) -> a1 * b * a2 injective on A x A.  A super-switcher additionally
@@ -18,6 +18,7 @@ any product in A b^{+1} A sits in [N-2M, N+2M], which misses [-M, M] and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .groups import (
@@ -114,30 +115,32 @@ def is_superswitcher(b: Element, a: ExplicitSet) -> SwitcherReport:
     return SwitcherReport(b, "superswitcher", True, "brute", against)
 
 
+@lru_cache(maxsize=8)
+def _ball_candidates(group: GroupDescriptor, radius: int) -> tuple:
+    """The non-identity elements of the radius ball, in encoding order."""
+    return tuple(sorted((b for b in word_ball(group, radius) if not is_identity(b)), key=encode))
+
+
 def find_switcher_bfs(
     a: ExplicitSet, radius: int, group: Optional[GroupDescriptor] = None
 ) -> Optional[Element]:
-    """First candidate in canonical BFS order passing is_switcher, else None."""
-    group = group or a.group
-    candidates = sorted(word_ball(group, radius), key=encode)
-    for b in candidates:
-        if is_identity(b):
-            continue
+    """First non-identity element of the radius ball, in encoding order (not
+    BFS order), that passes is_switcher; else None."""
+    for b in _ball_candidates(group or a.group, radius):
         if is_switcher(b, a).passed:
             return b
     return None
 
 
 def analytic_switcher(cert: BoundCertificate) -> LamplighterElement:
-    """Certified switcher ({R+M+1}, 2R+3M+2) for every set under the cert."""
+    """Certified switcher ({R+M+1}, 2R+3M+2) for every set under the cert.
+
+    It is a super-switcher as well: N = 2R+3M+2 > 3M keeps the three cursor
+    windows [-N-2M, -N+2M], [-M, M], [N-2M, N+2M] pairwise disjoint and
+    b != b^-1, so both modes use this one formula.
+    """
     M, R = cert.cursor_radius, cert.lamp_radius
     return LamplighterElement((R + M + 1,), 2 * R + 3 * M + 2)
-
-
-def analytic_superswitcher(cert: BoundCertificate) -> LamplighterElement:
-    """Same formula family; N = 2R+3M+2 > 3M keeps the three cursor windows
-    [-N-2M, -N+2M], [-M, M], [N-2M, N+2M] pairwise disjoint and b != b^-1."""
-    return analytic_switcher(cert)
 
 
 def switcher_covers(b: LamplighterElement, cert: BoundCertificate) -> bool:

@@ -34,10 +34,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .construction import Construction
-from .errors import MembershipError, SizeCapError
-from .groups import Element, ProductElement, encode, inverse, is_identity, multiply
+from .errors import MembershipError, OracleRangeError, SizeCapError
+from .groups import Element, encode, is_identity, multiply
 from .sampling import KDistribution
 from .setalg import (
+    ORACLE_BOX_CAP,
     certify,
     certify_power,
     certify_product,
@@ -122,30 +123,30 @@ def tv(p: SparsePMF, q: SparsePMF) -> float:
 
 
 def exact_joint_pmf(c: Construction, kdist: KDistribution) -> SparsePMF:
-    """The truncated step law as an explicit pmf (oracle scale only)."""
+    """The truncated step law as an explicit pmf (oracle scale only); a branch
+    whose float mass underflows to 0.0 (red, from level 1061 on) is left out."""
     masses: dict = {}
 
     def add(g, w):
-        masses[g] = masses.get(g, 0.0) + w
+        if w:
+            masses[g] = masses.get(g, 0.0) + w
 
-    half = c.mode == "symmetric"
+    signs = (1, -1) if c.mode == "symmetric" else (1,)
+    sig = 1.0 / len(signs)
     for k in range(1, kdist.truncation + 1):
         level = c.level(k)
         box = level.box()
+        if not box.fits(ORACLE_BOX_CAP):
+            raise OracleRangeError(f"level {k} box too large for the exact oracle")
         pk = kdist.pmf(k)
-        red_p = 2.0 ** -k if k < 1074 else 0.0
-        sig = 0.5 if half else 1.0
-        red = ProductElement(level.factor(1).c, level.factor(2).c)
-        add(red, pk * red_p * sig)
-        if half:
-            add(inverse(red), pk * red_p * sig)
+        red_p = 2.0 ** -k
+        for s in signs:
+            add(level.red_increment(s), pk * red_p * sig)
         blue_w = pk * (1.0 - red_p) / (box.size() ** 2) * sig
         for f1 in box.iter_elements():
             for f2 in box.iter_elements():
-                g = level.blue_increment(f1, f2)
-                add(g, blue_w)
-                if half:
-                    add(inverse(g), blue_w)
+                for s in signs:
+                    add(level.blue_increment(f1, f2, s), blue_w)
     return SparsePMF(masses, tolerance=1e-9)
 
 

@@ -15,7 +15,8 @@ from .analysis import WindowOracle
 from .construction import Construction, folner_delta
 from .errors import LampwalkError, OracleRangeError
 from .groups import encode, inverse
-from .sampling import KDistribution, pmf_eval, support_enumeration
+from .sampling import KDistribution, pmf_eval
+from .setalg import BRUTE_BOX_CAP
 from .tvbound import exact_joint_pmf
 
 PMF_REL_TOL = 1e-12
@@ -80,8 +81,7 @@ def _check_switchers(c: Construction):
     out = []
     for i in range(1, min(c.max_built, c.config.brute_level_cap) + 1):
         level = c.levels[i - 1]
-        box = level.box()
-        if box.n.bit_length() > 16 or box.size() > 512:
+        if not level.box().fits(BRUTE_BOX_CAP):
             out.append((f"switcher-brute-L{i}", True, "box too large; certificate mode"))
             continue
         for name, req, rep in c.switcher_scans(level):
@@ -174,10 +174,10 @@ def _check_pmf_symmetry(c: Construction):
     trunc = min(c.max_built, 2)
     kdist = KDistribution(truncation=trunc)
     try:
-        support = support_enumeration(c, kdist)
+        forward = exact_joint_pmf(c, kdist)
     except OracleRangeError as exc:
         return [("pmf-symmetry", True, f"skipped: {exc}")]
-    forward = exact_joint_pmf(c, kdist)
+    support = sorted(forward.probs, key=encode)
     bad = [
         g for g in support
         if not math.isclose(pmf_eval(c, g, kdist), forward.prob(g), rel_tol=PMF_REL_TOL)

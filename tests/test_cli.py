@@ -83,6 +83,18 @@ def test_tv_csv_contents(tmp_path):
     assert identity_rows and all(float(row[5]) == 0.0 for row in identity_rows)
 
 
+def test_tv_oracle_past_the_red_underflow(tmp_path):
+    # the oracle builds to the truncation level, past the level (1061) where
+    # the red branch mass underflows to 0.0
+    run(["build", "--schedule", "mini", "--max-level", "2", "--mini-box-cap", "1",
+         "--out", "mini.lwc"], tmp_path)
+    proc = run(["tv", "mini.lwc", "--oracle", "--n-grid", "1", "--truncation-level", "1100",
+                "--out", "tv.csv"], tmp_path, check=False)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "tv.csv").read_text().splitlines()[2:]
+    assert rows and all(row.split(",")[6] != "" for row in rows)
+
+
 def test_verify_passes_and_corruption_fails(tmp_path):
     root = tmp_path / "a"
     root.mkdir()

@@ -135,6 +135,43 @@ def test_membership_levels_of_generators(mini_asym):
     assert c.membership_level(2, LAMP_S) == 7
 
 
+def _scanned_membership_level(c, j, g):
+    """The level-by-level reference: the first A(j,i) whose built core holds g."""
+    for i in range(1, c.max_built + 2):
+        if c.membership_a(j, i, g) == "yes":
+            return i
+    return None
+
+
+@pytest.mark.parametrize(
+    "mode, depth, cap", [("asymmetric", 600, 1), ("symmetric", 40, 2)],
+)
+def test_membership_bisect_matches_the_level_scan(mode, depth, cap):
+    c = Construction(mode, "mini", Config(brute_verify=False, mini_box_cap=cap))
+    c.build_to(depth)
+    _assert_bisect_matches_the_scan(c)
+
+
+def test_membership_bisect_matches_the_level_scan_on_paper(paper_asym):
+    _assert_bisect_matches_the_scan(paper_asym)
+
+
+def _assert_bisect_matches_the_scan(c):
+    for j in (1, 2):
+        core = c.a_core(j, c.max_built + 1)
+        assert len(core) > c.max_built // 10
+        for g in core:
+            assert c.membership_level(j, g) == _scanned_membership_level(c, j, g), encode(g)
+
+
+def test_red_increment_is_the_pair_of_enumeration_components(mini_asym, mini_sym):
+    for c in (mini_asym, mini_sym):
+        for lv in c.levels:
+            red = (lv.factor(1).c, lv.factor(2).c)
+            assert lv.red_increment() == red
+            assert lv.red_increment(-1) == (inverse(red[0]), inverse(red[1]))
+
+
 def test_determinism_two_builds():
     a = Construction("asymmetric", "mini", Config(brute_verify=False))
     b = Construction("asymmetric", "mini", Config(brute_verify=False))

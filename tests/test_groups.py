@@ -185,7 +185,11 @@ def test_hash_and_equality_are_those_of_the_field_tuple():
         assert g == (g.lamps, g.cursor)
     for p in products:
         assert hash(p) == hash((p.left, p.right))
-    for elems in (pool, products):
+    controls = [random_element(CONTROL, rng) for _ in range(300)]
+    for a in controls:
+        assert hash(a) == hash((a.x, a.y))
+        assert a == (a.x, a.y)
+    for elems in (pool, products, controls):
         for _ in range(5000):
             g, h = rng.choice(elems), rng.choice(elems)
             assert (g == h) == (encode(g) == encode(h))
@@ -194,10 +198,12 @@ def test_hash_and_equality_are_those_of_the_field_tuple():
     assert all(g != p for g in pool for p in products[:20])
 
 
-@pytest.mark.parametrize(
-    "g", [LamplighterElement((0, 3), -2), ProductElement(LAMP_A, LAMP_S_INV)],
-    ids=["lamplighter", "product"],
-)
+ONE_OF_EACH_KIND = [
+    LamplighterElement((0, 3), -2), ProductElement(LAMP_A, LAMP_S_INV), AbelianControlElement(-3, 7),
+]
+
+
+@pytest.mark.parametrize("g", ONE_OF_EACH_KIND, ids=["lamplighter", "product", "control"])
 def test_tuple_operations_stay_closed(g):
     with pytest.raises(TypeError, match="unsupported operand"):
         2 * g
@@ -207,10 +213,7 @@ def test_tuple_operations_stay_closed(g):
         g + g
 
 
-@pytest.mark.parametrize(
-    "g", [LamplighterElement((0, 3), -2), ProductElement(LAMP_A, LAMP_S_INV)],
-    ids=["lamplighter", "product"],
-)
+@pytest.mark.parametrize("g", ONE_OF_EACH_KIND, ids=["lamplighter", "product", "control"])
 def test_copy_deepcopy_and_pickle_keep_the_element(g):
     copies = [copy.copy(g), copy.deepcopy(g)]
     copies += [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
@@ -225,6 +228,7 @@ def test_repr_names_the_fields():
         "ProductElement(left=LamplighterElement(lamps=(0,), cursor=0),"
         " right=LamplighterElement(lamps=(), cursor=1))"
     )
+    assert repr(AbelianControlElement(-3, 7)) == "AbelianControlElement(x=-3, y=7)"
 
 
 def test_inverse_examples():

@@ -9,11 +9,11 @@ PUBLIC = [  # sorted
     "CoupledStep", "Decomposition", "ExplicitSet", "GroupDescriptor",
     "KDistribution", "LamplighterElement", "Level", "ProductElement",
     "RecordReport", "SkewBox", "SparsePMF", "SwitcherReport", "TVBoundReport",
-    "TailSequence", "Trajectory", "abelian_control_group", "analytic_superswitcher",
-    "analytic_switcher", "analyze_records", "certified_marginal_bound", "certify",
-    "certify_power", "certify_product", "check_nontriviality_conditions", "convolve",
-    "decode", "decompose_oracle", "decompose_tracked", "detect_stabilization",
-    "encode", "enumerate_elements", "exact_marginal", "explicit", "find_switcher_bfs",
+    "TailSequence", "Trajectory", "abelian_control_group", "analytic_switcher",
+    "analyze_records", "certified_marginal_bound", "certify", "certify_power",
+    "certify_product", "check_nontriviality_conditions", "convolve", "decode",
+    "decompose_oracle", "decompose_tracked", "detect_stabilization", "encode",
+    "enumerate_elements", "exact_marginal", "explicit", "find_switcher_bfs",
     "folner_for", "freeness_test", "inverse", "is_superswitcher", "is_switcher",
     "lamplighter_group", "multiply", "p_map", "pmf_eval", "power_set", "product_group",
     "product_set", "rank_tracked", "sample_x", "sample_y", "skewbox_overlap",

@@ -8,7 +8,7 @@ import pytest
 from lampwalk import analysis, sampling, tvbound
 from lampwalk.construction import Config, Construction
 from lampwalk.errors import LampwalkError
-from lampwalk.groups import ProductElement, decode, lamplighter_group
+from lampwalk.groups import ProductElement, decode, encode, lamplighter_group
 
 DEPTH = 40
 
@@ -37,7 +37,7 @@ def test_public_readers_never_grow_the_construction(shared):
     trajs.append(sampling.walk(c, 6, rng, kdist=deep, x_level_cap=0))
     assert any(analysis.detect_stabilization(t) not in (None, 0) for t in trajs)
     sampling.sample_x(c, rng, kd)
-    support = sampling.support_enumeration(c, small)
+    support = sorted(tvbound.exact_joint_pmf(c, small).probs, key=encode)
     sampling.pmf_eval(c, support[-1], small)
     for traj in trajs:
         analysis.trajectory_report(traj, c, [hh])
@@ -59,7 +59,6 @@ def test_public_readers_never_grow_the_construction(shared):
     past = DEPTH + 1
     for call in (
         lambda: sampling.walk(c, 200, random.Random(61), kdist=deep),
-        lambda: sampling.support_enumeration(c, deep),
         lambda: sampling.pmf_eval(c, support[-1], deep),
         lambda: tvbound.exact_joint_pmf(c, deep),
         lambda: tvbound.exact_marginal(c, 1, 1, deep),

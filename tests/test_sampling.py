@@ -8,7 +8,7 @@ import pytest
 
 from lampwalk.construction import Config, Construction
 from lampwalk.errors import CorruptFileError
-from lampwalk.groups import ProductElement, inverse, multiply
+from lampwalk.groups import ProductElement, encode, inverse, multiply
 from lampwalk.sampling import (
     CoupledStep,
     KDistribution,
@@ -16,7 +16,6 @@ from lampwalk.sampling import (
     read_trajectory_csv,
     sample_x,
     sample_y,
-    support_enumeration,
     walk,
     write_trajectory_csv,
 )
@@ -211,7 +210,7 @@ def test_pmf_sums_to_one_mini_i3():
     c = Construction("asymmetric", "mini", Config(brute_verify=False))
     c.build_to(3)
     kd = KDistribution(truncation=3)
-    support = support_enumeration(c, kd)
+    support = sorted(exact_joint_pmf(c, kd).probs, key=encode)
     total = math.fsum(pmf_eval(c, g, kd) for g in support)
     assert abs(total - 1.0) < 1e-9
 
@@ -233,7 +232,7 @@ def test_pmf_matches_empirical_tv(mini_asym_small):
         traj = walk(c, 1, rng, kdist=kd)
         g = traj.steps[0].x
         counts[g] = counts.get(g, 0) + 1
-    support = support_enumeration(c, kd)
+    support = sorted(exact_joint_pmf(c, kd).probs, key=encode)
     assert set(counts) <= set(support)
     tv = math.fsum(
         abs(counts.get(g, 0) / n - pmf_eval(c, g, kd)) for g in support
@@ -247,10 +246,10 @@ def test_symmetric_pmf_exactly_symmetric(mini_sym_small):
     # on a support closed under inverse
     c = mini_sym_small
     kd = KDistribution(truncation=2)
-    support = support_enumeration(c, kd)
+    forward = exact_joint_pmf(c, kd)
+    support = sorted(forward.probs, key=encode)
     assert support
     assert {inverse(g) for g in support} == set(support)
-    forward = exact_joint_pmf(c, kd)
     for g in support:
         assert math.isclose(pmf_eval(c, g, kd), forward.prob(g), rel_tol=PMF_REL_TOL)
 

@@ -118,6 +118,14 @@ def test_box_contents_n3():
         assert all(g.cursor <= p <= g.cursor + 2 for p in g.lamps)
 
 
+@pytest.mark.parametrize("cap", [0, 1, 2, 8, 511, 512, 4096, 4097])
+def test_box_fits_is_the_size_test(cap):
+    for n in range(1, 40):
+        assert SkewBox(n).fits(cap) == (SkewBox(n).size() <= cap)
+    # a paper-scale window is refused without forming 2**n
+    assert not SkewBox(2**200_000).fits(cap)
+
+
 def test_rank_unrank_inverse_exhaustive():
     for n in (1, 2, 3):
         box = SkewBox(n)

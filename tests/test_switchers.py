@@ -16,7 +16,6 @@ from lampwalk.groups import (
 )
 from lampwalk.setalg import BoundCertificate, certify, explicit, symmetrize
 from lampwalk.switchers import (
-    analytic_superswitcher,
     analytic_switcher,
     find_switcher_bfs,
     is_superswitcher,
@@ -81,12 +80,12 @@ def test_analytic_random_sets():
 
 
 def test_superswitcher_on_singleton():
-    b = analytic_superswitcher(BoundCertificate(0, 0))
+    b = analytic_switcher(BoundCertificate(0, 0))
     assert is_superswitcher(b, explicit(LAMP, [E])).passed
 
 
 def test_superswitcher_cursor_windows_cert_1_0():
-    b = analytic_superswitcher(BoundCertificate(1, 0))
+    b = analytic_switcher(BoundCertificate(1, 0))
     N, M = b.cursor, 1
     assert N == 5
     windows = [(-N - 2 * M, -N + 2 * M), (-M, M), (N - 2 * M, N + 2 * M)]
@@ -101,7 +100,7 @@ def test_superswitcher_random_sets_and_subsumption():
     for _ in range(20):
         a = symmetrize(random_set(rng))
         cert = certify(a)
-        cand = analytic_superswitcher(cert)
+        cand = analytic_switcher(cert)
         assert is_superswitcher(cand, a).passed
         # every superswitcher is in particular a switcher
         assert is_switcher(cand, a).passed

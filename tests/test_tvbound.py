@@ -12,6 +12,7 @@ from lampwalk.groups import (
     LAMP_S,
     LamplighterElement,
     decode,
+    encode,
     inverse,
     lamplighter_group,
     multiply,
@@ -118,12 +119,23 @@ def test_marginal_matches_sampler(mini_asym_small):
 
 
 def test_joint_pmf_matches_pmf_eval(mini_asym_small):
-    from lampwalk.sampling import pmf_eval, support_enumeration
+    from lampwalk.sampling import pmf_eval
 
     kd = KDistribution(truncation=2)
     joint = exact_joint_pmf(mini_asym_small, kd)
-    for g in support_enumeration(mini_asym_small, kd):
+    for g in sorted(joint.probs, key=encode):
         assert abs(joint.probs[g] - pmf_eval(mini_asym_small, g, kd)) < 1e-12
+
+
+def test_joint_pmf_past_the_red_underflow():
+    # from level 1061 on the red mass pk * 2**-k underflows to 0.0; the law
+    # leaves those branches out and stays a pmf of positive masses
+    c = Construction("asymmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+    c.build_to(1100)
+    joint = exact_joint_pmf(c, KDistribution(truncation=1100))
+    assert all(p > 0.0 for p in joint.probs.values())
+    assert abs(math.fsum(joint.probs.values()) - 1.0) < 1e-9
+    assert joint.prob(c.level(1100).red_increment()) == 0.0
 
 
 def test_bound_identity_has_zero_loss(paper_asym):
