@@ -244,7 +244,7 @@ class WindowIndex:
         self.construction = c
         self.level = i
         self.prime = prime
-        e = c.profile.exponent_level(i)
+        e = c.exponent_level(i)
         lv = c.level(i)
         box = lv.box()
         if not box.fits(BRUTE_BOX_CAP):
@@ -369,6 +369,8 @@ class WindowOracle:
         return self._cache[key]
 
     def rank(self, g: ProductElement, max_level: int) -> int:
+        """Smallest level i <= max_level whose window holds g, else 0; a
+        reference that tests check the tracked ranks against."""
         for i in range(1, max_level + 1):
             if g in self.index(i):
                 return i

@@ -48,20 +48,6 @@ def trajectory_rng(master_seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def load_config_file(path) -> dict:
-    """KEY = VALUE lines; '#' comments; values kept as strings."""
-    out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise LampwalkError(f"{path}:{lineno}: expected KEY = VALUE")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
 @dataclass
 class Manifest:
     command: list
@@ -103,8 +89,6 @@ class Manifest:
 
 def _effective_config(args) -> dict:
     cfg = {}
-    if args.config:
-        cfg.update(load_config_file(args.config))
     for key in (
         "mode", "schedule", "truncation_level", "seed",
         "x_level_cap", "horizon", "n_traj", "max_level",
@@ -159,11 +143,10 @@ def cmd_build(args) -> int:
             f" ratio={'n/a' if ratio is None else f'{float(ratio):.6g}'}"
         )
         for j in (1, 2):
-            fl = level.factor(j)
-            cert = fl.a_cert
+            fl, st = level.factor(j), c.a_state(j, i)
             print(
-                f"  factor {j}: |core(A)|={fl.core_len}"
-                f" cert=({cert.cursor_radius},{cert.lamp_radius})"
+                f"  factor {j}: |core(A)|={st.core_len}"
+                f" cert=({st.cert.cursor_radius},{st.cert.lamp_radius})"
                 f" b1={_short(fl.b1)} b2={_short(fl.b2)} c={_short(fl.c)}"
             )
     out = Path(args.out)
@@ -300,10 +283,10 @@ def cmd_inspect(args) -> int:
         n_text = str(level.n) if level.n.bit_length() <= 64 else f"~2^{level.n.bit_length() - 1}"
         print(f"level {level.index}: box n={n_text}")
         for j in (1, 2):
-            fl = level.factor(j)
+            st = c.a_state(j, level.index)
             print(
-                f"  factor {j}: cert=({fl.a_cert.cursor_radius},{fl.a_cert.lamp_radius})"
-                f" core={fl.core_len} exact={'yes' if fl.a_exact else 'no'}"
+                f"  factor {j}: cert=({st.cert.cursor_radius},{st.cert.lamp_radius})"
+                f" core={st.core_len} exact={'yes' if st.exact else 'no'}"
             )
     return 0
 
@@ -311,7 +294,6 @@ def cmd_inspect(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument("--config", help="KEY = VALUE config file; flags win")
     common.add_argument("--out-dir", default="out", help="directory for multi-file outputs")
     common.add_argument("--stamp", action="store_true", help="embed a wall-clock timestamp")
     parser = argparse.ArgumentParser(

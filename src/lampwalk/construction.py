@@ -23,16 +23,19 @@ Two schedules exist:
   cannot absorb the outer switcher's cursor), so the achieved invariance
   ratio is recorded instead of enforced.
 
-Levels are deterministic given (mode, schedule, config); two builds agree
-byte for byte, so a saved file holds only that recipe, the level count and
-the sha256 of the canonical body, and loading rebuilds the levels.
+Levels are deterministic given the recipe: the mode, the schedule, the two
+``Config`` fields a caller sets (the mini box cap and whether to brute-verify)
+and the fixed caps below.  Two builds agree byte for byte, so a saved file
+holds only that recipe, the level count and the sha256 of the canonical body,
+and loading rebuilds the levels.  What the construction knows of each A(j,i)
+is stored once, as the ``AState`` that ``a_state(j, i)`` returns.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -53,6 +56,7 @@ from .groups import (
     product_group,
 )
 from .setalg import (
+    DEFAULT_SIZE_CAP,
     BoundCertificate,
     ExplicitSet,
     SkewBox,
@@ -78,30 +82,14 @@ FORMAT_VERSION = "lampwalk-construction v2"
 # representable and the schedule is at its desk-scale ceiling
 REPRESENTABLE_BOX_BITS = 24
 
-
-@dataclass(frozen=True)
-class ScheduleProfile:
-    """Exponent and box policy of a schedule.
-
-    The mini schedule is the paper schedule with its exponents frozen at
-    level 1: every power is a function of ``exponent_level(i)``, which is i
-    on the paper schedule and 1 on mini.  At exponent level e a level uses
-    A^(e+1) for box invariance, switcher sets to powers e+2 and 2e+8, and
-    window cosets A^(e+1) F b1 S b2 A^e (W' lowers the left power to e).
-    Only the paper schedule certifies its boxes, at delta = 1/i.
-    """
-
-    name: str
-    folner_enforced: bool
-
-    def exponent_level(self, i: int) -> int:
-        return i if self.folner_enforced else 1
-
-
-PAPER = ScheduleProfile("paper", folner_enforced=True)
-MINI = ScheduleProfile("mini", folner_enforced=False)
-
-PROFILES = {"paper": PAPER, "mini": MINI}
+# the fixed caps of every build, which the recipe records together with the
+# size cap setalg.DEFAULT_SIZE_CAP; load refuses a file that names other values
+CORE_BLOCK_CAP = 4096       # materialize F b1 S b2 [F] when this small
+CORE_LEVEL_CAP = 4          # ... and the level is at most this
+FOLNER_POWER_CAP = 1000     # materialize A^p for exact sums when under
+BRUTE_LEVEL_CAP = 2         # mini: brute-check switchers up to this level
+BRUTE_POWER = 2             # mini: power of the materialized check set
+MEMBERSHIP_SCAN_CAP = 100_000
 
 # mini boxes stay small enough to materialize and brute-verify
 MINI_BOX_MAX = 2
@@ -114,47 +102,18 @@ def folner_delta(i: int) -> Fraction:
 
 @dataclass
 class Config:
-    size_cap: int = 1_000_000
-    core_block_cap: int = 4096      # materialize F b1 S b2 [F] when this small
-    core_level_cap: int = 4         # ... and the level is at most this
-    folner_power_cap: int = 1000    # materialize A^p for exact sums when under
+    """The two build settings a caller chooses."""
+
     brute_verify: bool = True       # mini: brute-check switchers at build time
-    brute_level_cap: int = 2
-    brute_power: int = 2            # mini: power of the materialized check set
     mini_box_cap: int = 2           # mini: window size grows min(i, cap), cap in 1..2
-    membership_scan_cap: int = 100_000
-
-    def as_lines(self):
-        """One ``key: value`` line per field, in field order; flags read yes/no."""
-        lines = []
-        for name, value in asdict(self).items():
-            if isinstance(value, bool):
-                value = "yes" if value else "no"
-            lines.append(f"{name.replace('_', '-')}: {value}")
-        return lines
-
-    @classmethod
-    def from_header(cls, header: dict) -> "Config":
-        """The config whose ``as_lines`` a file header holds, as key -> text."""
-        texts = {f.name: header[f.name.replace("_", "-")] for f in fields(cls)}
-        return cls(**{
-            name: text == "yes" if isinstance(getattr(cls, name), bool) else int(text)
-            for name, text in texts.items()
-        })
 
 
 @dataclass
 class FactorLevel:
-    """Per-factor data of one level: the input set A(j,i) and its products.
-
-    Cores are nested across levels, so each level only records how many
-    entries of the construction's shared append-only core list belong to it.
+    """Per-factor data of one level: the switchers and the enumeration
+    component.  The level's input set A(j,i) is ``Construction.a_state(j, i)``.
     """
 
-    a_cert: BoundCertificate
-    a_card: Optional[int]           # sound upper bound; None once unrepresentable
-    core_len: int                   # prefix of the shared core list
-    a_exact: bool                   # core IS the whole set
     b1: LamplighterElement
     b2: LamplighterElement
     c: LamplighterElement
@@ -198,16 +157,27 @@ class Level:
 class AState:
     """What the construction knows of A(j,i): a window certificate, a
     cardinality bound, the prefix of the core list that lies in it, and
-    whether that core is the whole set."""
+    whether that core is the whole set.
+
+    Cores are nested across levels, so each state only records how many
+    entries of the construction's shared append-only core list belong to it.
+    """
 
     cert: BoundCertificate
-    card: Optional[int]
+    card: Optional[int]             # sound upper bound; None once unrepresentable
     core_len: int
-    exact: bool
+    exact: bool                     # core IS the whole set
 
 
 class Construction:
     """Deterministic level data for one (mode, schedule) pair.
+
+    The mini schedule is the paper schedule with its exponents frozen at
+    level 1: every power is a function of ``exponent_level(i)``, which is i
+    on the paper schedule and 1 on mini.  At exponent level e a level uses
+    A^(e+1) for box invariance, switcher sets to powers e+2 and 2e+8, and
+    window cosets A^(e+1) F b1 S b2 A^e (W' lowers the left power to e).
+    Only the paper schedule certifies its boxes, at delta = 1/i.
 
     Only ``build_to`` (with ``build_level`` and ``load``) adds levels; every
     other method, and every reader elsewhere in the package, only reads the
@@ -218,11 +188,10 @@ class Construction:
                  config: Optional[Config] = None):
         if mode not in ("asymmetric", "symmetric"):
             raise ValueError(f"unknown mode {mode!r}")
-        if schedule not in PROFILES:
+        if schedule not in ("paper", "mini"):
             raise ValueError(f"unknown schedule {schedule!r}")
         self.mode = mode
         self.schedule = schedule
-        self.profile = PROFILES[schedule]
         self.config = config or Config()
         if schedule == "mini" and not 1 <= self.config.mini_box_cap <= MINI_BOX_MAX:
             raise ValueError(f"mini box cap must be in 1..{MINI_BOX_MAX}")
@@ -241,6 +210,9 @@ class Construction:
         self.file_digest: Optional[str] = None
 
     # -- building -------------------------------------------------------------
+
+    def exponent_level(self, i: int) -> int:
+        return i if self.schedule == "paper" else 1
 
     @property
     def max_built(self) -> int:
@@ -273,10 +245,9 @@ class Construction:
     def build_level(self, i: int) -> Level:
         if i != self.max_built + 1:
             raise ValueError(f"levels build sequentially; next is {self.max_built + 1}")
-        cfg = self.config
         sym = self.mode == "symmetric"
         states = self._a_states[-1]
-        e = self.profile.exponent_level(i)
+        e = self.exponent_level(i)
 
         powers = self._a_powers(i, states)
         n = self._choose_box(i, states, powers)
@@ -301,10 +272,7 @@ class Construction:
                 b1_cert = certify_symmetrize(b1_cert)
             c2 = certify_power(certify_union(alphabet, b1_cert), 2 * e + 8)
             b2 = analytic_switcher(c2)
-            fl = FactorLevel(
-                a_cert=st.cert, a_card=st.card, core_len=st.core_len,
-                a_exact=st.exact, b1=b1, b2=b2, c=cs[idx],
-            )
+            fl = FactorLevel(b1=b1, b2=b2, c=cs[idx])
             factors.append(fl)
             next_states.append(self._advance_state(i, j, st, fl, box, box_cert))
 
@@ -314,10 +282,10 @@ class Construction:
             index=i,
             n=n,
             factors=tuple(factors),
-            folner_certified=self.profile.folner_enforced,
+            folner_certified=self.schedule == "paper",
             folner_ratio=ratio,
         )
-        if cfg.brute_verify and self.schedule == "mini" and i <= cfg.brute_level_cap:
+        if self.config.brute_verify and self.schedule == "mini" and i <= BRUTE_LEVEL_CAP:
             self._brute_verify(level)
         self.levels.append(level)
         self._a_states.append(tuple(next_states))
@@ -326,18 +294,17 @@ class Construction:
     def _a_powers(self, i: int, states) -> list:
         """A(j,i)^p per factor, p = e + 1, where the core is exact and the
         power small enough to materialize; None for the other factors."""
-        cfg = self.config
-        p = self.profile.exponent_level(i) + 1
+        p = self.exponent_level(i) + 1
         return [
-            power_set(self._core_set(j, st.core_len), p, size_cap=cfg.size_cap)
-            if st.exact and st.core_len ** p <= cfg.folner_power_cap else None
+            power_set(self._core_set(j, st.core_len), p)
+            if st.exact and st.core_len ** p <= FOLNER_POWER_CAP else None
             for j, st in enumerate(states, start=1)
         ]
 
     def _choose_box(self, i: int, states, powers) -> int:
-        if not self.profile.folner_enforced:
+        if self.schedule == "mini":
             return min(i, self.config.mini_box_cap)
-        p = self.profile.exponent_level(i) + 1
+        p = self.exponent_level(i) + 1
         n = 1
         for st, elements in zip(states, powers):
             if st.card is None:
@@ -363,7 +330,6 @@ class Construction:
     def _advance_state(self, i, j, st: AState, fl: FactorLevel,
                        box: SkewBox, box_cert) -> AState:
         sym = self.mode == "symmetric"
-        cfg = self.config
         b1_cert = certify(explicit(self.factor_group, [fl.b1]))
         b2_cert = certify(explicit(self.factor_group, [fl.b2]))
         block_cert = certify_product(
@@ -387,8 +353,8 @@ class Construction:
         exact = st.exact
         if (
             block_card is not None
-            and block_card <= cfg.core_block_cap
-            and i <= cfg.core_level_cap
+            and block_card <= CORE_BLOCK_CAP
+            and i <= CORE_LEVEL_CAP
         ):
             for g in sorted(self._materialize_block(fl, box), key=encode):
                 self._core_append(j, g)
@@ -404,7 +370,7 @@ class Construction:
 
     def _materialize_block(self, fl: FactorLevel, box: SkewBox):
         out = set()
-        fs = list(box.iter_elements(self.config.size_cap))
+        fs = list(box.iter_elements())
         sym = self.mode == "symmetric"
         for f in fs:
             for s in fs:
@@ -424,22 +390,20 @@ class Construction:
         Yields (name, requirement set, report) per factor j: the inner
         switcher b1 against (core(A) u F)^p, then the outer switcher b2
         against (core(A) u F u {b1})^p, with F and b1 symmetrized in
-        symmetric mode and p the configured brute power.  Lazy, so a caller
-        can stop at the first failure.
+        symmetric mode and p = ``BRUTE_POWER``.  Lazy, so a caller can stop
+        at the first failure.
         """
-        cfg = self.config
         sym = self.mode == "symmetric"
         check = is_superswitcher if sym else is_switcher
-        fbox = level.box().as_explicit(self.factor_group, cfg.size_cap)
+        fbox = level.box().as_explicit(self.factor_group)
         if sym:
             fbox = symmetrize(fbox)
         for j in (1, 2):
             fl = level.factor(j)
-            base = set(self._core_lists[j - 1][: fl.core_len]) | fbox.elements
+            base = set(self.a_core(j, level.index)) | fbox.elements
             with_b1 = {fl.b1, inverse(fl.b1)} if sym else {fl.b1}
             for kind, b, elements in (("inner", fl.b1, base), ("outer", fl.b2, base | with_b1)):
-                req = power_set(explicit(self.factor_group, elements), cfg.brute_power,
-                                size_cap=cfg.size_cap)
+                req = power_set(explicit(self.factor_group, elements), BRUTE_POWER)
                 yield f"switcher-{kind}-L{level.index}j{j}", req, check(b, req)
 
     def _brute_verify(self, level: Level) -> None:
@@ -465,10 +429,14 @@ class Construction:
         return self._core_set(j, st.core_len)
 
     def a_power(self, j: int, i: int, p: int) -> ExplicitSet:
-        return power_set(self.a_set(j, i), p, size_cap=self.config.size_cap)
+        return power_set(self.a_set(j, i), p)
 
     def membership_a(self, j: int, i: int, g: LamplighterElement) -> str:
-        """'yes' | 'no' | 'unknown-sound' membership of g in A(j,i)."""
+        """'yes' | 'no' | 'unknown-sound' membership of g in A(j,i).
+
+        The package answers membership with ``membership_level``; tests keep
+        this per-level answer as its reference.
+        """
         st = self.a_state(j, i)
         pos = self._core_index[j - 1].get(g)
         if pos is not None and pos < st.core_len:
@@ -493,7 +461,7 @@ class Construction:
             i = bisect_right(self._a_states, pos, key=lambda st: st[j - 1].core_len)
             if i < len(self._a_states):
                 return i + 1
-        for idx in range(self.config.membership_scan_cap):
+        for idx in range(MEMBERSHIP_SCAN_CAP):
             pair = self._enum.element(idx)
             comp = pair.left if j == 1 else pair.right
             if comp == g:
@@ -519,7 +487,6 @@ class Construction:
     def serialize(self) -> str:
         """Canonical text of the recipe and every built level, sealed by its sha256."""
         lines = [BODY_VERSION, *_recipe(self.mode, self.schedule, self.config, self.max_built)]
-        prev_len = [1, 1]  # level 1 starts from {identity}
         for level in self.levels:
             lines.append(f"[level {level.index}]")
             lines.append(f"box: skewbox:{hex(level.n)}")
@@ -528,30 +495,29 @@ class Construction:
             lines.append(f"folner-ratio: {'none' if r is None else f'{r.numerator}/{r.denominator}'}")
             for j in (1, 2):
                 fl = level.factor(j)
-                lines.append(f"[factor {j}]")
-                lines.append(
-                    f"a-cert: certificate:{fl.a_cert.cursor_radius},{fl.a_cert.lamp_radius}"
-                )
-                lines.append(f"a-card: {'none' if fl.a_card is None else hex(fl.a_card)}")
-                lines.append(f"a-exact: {'yes' if fl.a_exact else 'no'}")
-                lines.append(f"b1: {encode(fl.b1)}")
-                lines.append(f"b2: {encode(fl.b2)}")
-                lines.append(f"c: {encode(fl.c)}")
-                added = self._core_lists[j - 1][prev_len[j - 1]: fl.core_len]
-                lines.append(f"a-core-added: {len(added)}")
-                lines.extend(encode(g) for g in added)
-                prev_len[j - 1] = fl.core_len
+                lines.extend(self._a_lines(j, level.index, [
+                    f"b1: {encode(fl.b1)}", f"b2: {encode(fl.b2)}", f"c: {encode(fl.c)}",
+                ]))
         lines.append("[next]")
         for j in (1, 2):
-            st = self.a_state(j, self.max_built + 1)
-            lines.append(f"[factor {j}]")
-            lines.append(f"a-cert: certificate:{st.cert.cursor_radius},{st.cert.lamp_radius}")
-            lines.append(f"a-card: {'none' if st.card is None else hex(st.card)}")
-            lines.append(f"a-exact: {'yes' if st.exact else 'no'}")
-            added = self._core_lists[j - 1][prev_len[j - 1]: st.core_len]
-            lines.append(f"a-core-added: {len(added)}")
-            lines.extend(encode(g) for g in added)
+            lines.extend(self._a_lines(j, self.max_built + 1))
         return _sealed(lines)
+
+    def _a_lines(self, j: int, i: int, extra=()) -> list:
+        """The body's block of A(j,i): its state, ``extra``, then the core
+        entries it adds to A(j,i-1) (level 1 starts from {identity})."""
+        st = self.a_state(j, i)
+        start = self.a_state(j, i - 1).core_len if i > 1 else 1
+        added = self._core_lists[j - 1][start: st.core_len]
+        return [
+            f"[factor {j}]",
+            f"a-cert: certificate:{st.cert.cursor_radius},{st.cert.lamp_radius}",
+            f"a-card: {'none' if st.card is None else hex(st.card)}",
+            f"a-exact: {'yes' if st.exact else 'no'}",
+            *extra,
+            f"a-core-added: {len(added)}",
+            *map(encode, added),
+        ]
 
     @classmethod
     def load(cls, path) -> "Construction":
@@ -567,7 +533,8 @@ class Construction:
             raise CorruptFileError(f"unsupported format (want {FORMAT_VERSION!r})")
         header = dict(line.partition(": ")[::2] for line in lines[1:])
         try:
-            cfg = Config.from_header(header)
+            cfg = Config(brute_verify=header["brute-verify"] == "yes",
+                         mini_box_cap=int(header["mini-box-cap"]))
             out = cls(header["mode"], header["schedule"], replace(cfg, brute_verify=False))
             levels, recorded = int(header["levels"]), header["construction-sha256"]
         except KeyError as exc:
@@ -585,7 +552,20 @@ class Construction:
 
 
 def _recipe(mode: str, schedule: str, config: Config, levels: int) -> list:
-    return [f"mode: {mode}", f"schedule: {schedule}", *config.as_lines(), f"levels: {levels}"]
+    return [
+        f"mode: {mode}",
+        f"schedule: {schedule}",
+        f"size-cap: {DEFAULT_SIZE_CAP}",
+        f"core-block-cap: {CORE_BLOCK_CAP}",
+        f"core-level-cap: {CORE_LEVEL_CAP}",
+        f"folner-power-cap: {FOLNER_POWER_CAP}",
+        f"brute-verify: {'yes' if config.brute_verify else 'no'}",
+        f"brute-level-cap: {BRUTE_LEVEL_CAP}",
+        f"brute-power: {BRUTE_POWER}",
+        f"mini-box-cap: {config.mini_box_cap}",
+        f"membership-scan-cap: {MEMBERSHIP_SCAN_CAP}",
+        f"levels: {levels}",
+    ]
 
 
 def _sealed(lines) -> str:

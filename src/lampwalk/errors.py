@@ -42,4 +42,4 @@ class CorruptFileError(LampwalkError, ValueError):
 
 
 class OracleRangeError(LampwalkError):
-    """An exact oracle was asked about a scale it cannot parse."""
+    """An exact oracle, or the record DP, was asked about a scale it cannot handle."""

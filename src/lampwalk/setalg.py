@@ -142,9 +142,6 @@ class SkewBox:
         t = block - (n - 1)
         return _lamp(tuple(t + i for i in range(n) if (mask >> i) & 1), t)
 
-    def sample(self, rng) -> LamplighterElement:
-        return self.unrank(rng.randrange(self.size()))
-
     def iter_elements(self, size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[LamplighterElement]:
         if self.size() > size_cap:
             raise SizeCapError(
@@ -248,7 +245,8 @@ def skewbox_overlap(g: LamplighterElement, box: SkewBox) -> int:
 
 
 def skewbox_loss(g: LamplighterElement, box: SkewBox) -> Fraction:
-    """Exact |gF \\ F| / |F|."""
+    """Exact |gF \\ F| / |F|.  The package reads ``_loss_numer`` directly;
+    tests keep this ratio as the per-element reference."""
     return Fraction(min(box.n, _loss_numer(g)), box.n)
 
 

@@ -142,15 +142,3 @@ def analytic_switcher(cert: BoundCertificate) -> LamplighterElement:
     M, R = cert.cursor_radius, cert.lamp_radius
     return LamplighterElement((R + M + 1,), 2 * R + 3 * M + 2)
 
-
-def switcher_covers(b: LamplighterElement, cert: BoundCertificate) -> bool:
-    """Whether b = ({P}, N) is zone-disjoint for every set under cert.
-
-    Needs P > R (pin above the lamp zone), P + M < N - R - M (pin below the
-    shifted lamp zone), and N > 3M (cursor windows disjoint).
-    """
-    if len(b.lamps) != 1 or b.cursor <= 0:
-        return False
-    P, N = b.lamps[0], b.cursor
-    M, R = cert.cursor_radius, cert.lamp_radius
-    return P - M > R and P + M < N - R - M and N - 2 * M > M

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .construction import Construction
@@ -72,16 +72,6 @@ class SparsePMF:
 
     def prob(self, g) -> float:
         return self.probs.get(g, 0.0)
-
-
-def delta_pmf(g: Element) -> SparsePMF:
-    return SparsePMF({g: 1.0})
-
-
-def uniform_pmf(elements) -> SparsePMF:
-    elements = list(elements)
-    w = 1.0 / len(elements)
-    return SparsePMF({g: w for g in elements})
 
 
 def convolve(p: SparsePMF, q: SparsePMF, size_cap: int = DEFAULT_PMF_CAP) -> SparsePMF:
@@ -177,13 +167,6 @@ class TVBoundReport:
     record_failure_term: float
     loss_term: float
     conditional_loss: float
-    modes: dict = field(default_factory=dict)
-
-    def row(self):
-        return [
-            self.generator, self.horizon, f"{self.bound:.12g}",
-            f"{self.record_failure_term:.12g}", f"{self.loss_term:.12g}",
-        ]
 
 
 def _ratio_float_up(num: int, den: int) -> float:
@@ -215,8 +198,7 @@ def _level_loss(c: Construction, h, h_cert, j: int, m: int, k: int) -> float:
     n = level.n
     if m == 1:
         return _ratio_float_up(2 * min(n, _loss_numer(h)), n)
-    a_cert = level.factor(j).a_cert
-    q_cert = certify_power(a_cert, m - 1)
+    q_cert = certify_power(c.a_state(j, k).cert, m - 1)
     wa = worst_loss_numer(certify_product(h_cert, q_cert))
     wb = worst_loss_numer(q_cert)
     return _ratio_float_up(2 * (min(n, wa) + min(n, wb)), n)
@@ -251,7 +233,7 @@ def certified_marginal_bound(
     kdist = kdist or KDistribution()
     trunc = kdist.truncation
     if trunc > 4096:
-        raise ValueError("the record DP is meant for modest truncation levels")
+        raise OracleRangeError(f"truncation level {trunc} is past the record DP's cap of 4096")
     try:
         m_h = c.membership_level(j, h)
     except MembershipError as exc:
@@ -304,12 +286,6 @@ def certified_marginal_bound(
         record_failure_term=failure,
         loss_term=loss_total,
         conditional_loss=cond,
-        modes={
-            "schedule": c.schedule,
-            "mode": c.mode,
-            "sharp_levels": c.max_built,
-            "tail_levels": "schedule-guarantee" if trunc > c.max_built else "none",
-        },
     )
 
 

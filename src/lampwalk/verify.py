@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .analysis import WindowOracle
-from .construction import Construction, folner_delta
+from .construction import BRUTE_LEVEL_CAP, Construction, folner_delta
 from .errors import LampwalkError, OracleRangeError
 from .groups import encode, inverse
 from .sampling import KDistribution, pmf_eval
@@ -79,7 +79,7 @@ def _check_core_nesting(c: Construction):
 
 def _check_switchers(c: Construction):
     out = []
-    for i in range(1, min(c.max_built, c.config.brute_level_cap) + 1):
+    for i in range(1, min(c.max_built, BRUTE_LEVEL_CAP) + 1):
         level = c.levels[i - 1]
         if not level.box().fits(BRUTE_BOX_CAP):
             out.append((f"switcher-brute-L{i}", True, "box too large; certificate mode"))
@@ -97,7 +97,7 @@ def _window_levels(c: Construction):
     for i in (1, 2):
         if i > c.max_built:
             return
-        if not all(c.levels[i - 1].factor(j).a_exact for j in (1, 2)):
+        if not all(c.a_state(j, i).exact for j in (1, 2)):
             return
         yield i
 
@@ -167,7 +167,8 @@ def _check_pmf_symmetry(c: Construction):
     itself at g^-1 could not fail.  exact_joint_pmf instead enumerates the
     sampler's branches forward; both sums run over the same terms in other
     orders, so they agree to rounding, hence the relative tolerance.  The
-    support is closed under inverse, so g^-1 is compared in its own turn.
+    row also checks that the support is closed under inverse, so that g^-1
+    is compared in its own turn.
     """
     if c.mode != "symmetric" or c.schedule != "mini" or c.max_built < 1:
         return []
@@ -178,13 +179,16 @@ def _check_pmf_symmetry(c: Construction):
     except OracleRangeError as exc:
         return [("pmf-symmetry", True, f"skipped: {exc}")]
     support = sorted(forward.probs, key=encode)
+    unpaired = [g for g in support if inverse(g) not in forward.probs]
     bad = [
         g for g in support
         if not math.isclose(pmf_eval(c, g, kdist), forward.prob(g), rel_tol=PMF_REL_TOL)
     ]
-    return [(
-        "pmf-symmetry", not bad,
-        f"parsed nu(g) matches the forward law on all {len(support)} support elements, "
-        f"a set closed under inverse (rel tol {PMF_REL_TOL:g})"
-        if not bad else f"parsed and forward law disagree at {encode(bad[0])}",
-    )]
+    if unpaired:
+        detail = f"the support misses the inverse of {encode(unpaired[0])}"
+    elif bad:
+        detail = f"parsed and forward law disagree at {encode(bad[0])}"
+    else:
+        detail = (f"parsed nu(g) matches the forward law on all {len(support)} support "
+                  f"elements, a set closed under inverse (rel tol {PMF_REL_TOL:g})")
+    return [("pmf-symmetry", not (unpaired or bad), detail)]

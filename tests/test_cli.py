@@ -95,6 +95,17 @@ def test_tv_oracle_past_the_red_underflow(tmp_path):
     assert rows and all(row.split(",")[6] != "" for row in rows)
 
 
+def test_tv_past_the_dp_cap_is_an_error_line(tmp_path):
+    run(["build", "--schedule", "mini", "--max-level", "2", "--mini-box-cap", "1",
+         "--out", "m.lwc"], tmp_path)
+    proc = run(["tv", "m.lwc", "--n-grid", "2", "--truncation-level", "5000",
+                "--out", "tv.csv"], tmp_path, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: truncation level 5000 is past the record DP's cap of 4096\n"
+    )
+
+
 def test_verify_passes_and_corruption_fails(tmp_path):
     root = tmp_path / "a"
     root.mkdir()
@@ -175,17 +186,18 @@ def test_inspect(tmp_path):
     assert "digest:" in proc.stdout
 
 
-def test_config_file_with_flag_override(tmp_path):
-    (tmp_path / "run.cfg").write_text("horizon = 40\n# comment\nn-traj = 2\n")
+def test_manifest_records_the_flag_values(tmp_path):
     run(["build", "--schedule", "mini", "--max-level", "1", "--out", "mini.lwc"],
         tmp_path)
-    run(["sample", "mini.lwc", "--config", "run.cfg", "--seed", "3", "--n-traj", "1",
-         "--horizon", "30", "--truncation-level", "100", "--x-level-cap", "100",
-         "--out-dir", "runs"], tmp_path)
+    sample = ["sample", "mini.lwc", "--seed", "3", "--n-traj", "1", "--horizon", "30",
+              "--truncation-level", "100", "--x-level-cap", "100", "--out-dir", "runs"]
+    run(sample, tmp_path)
     manifest = json.loads((tmp_path / "runs" / "manifest.json").read_text())
-    # the flag wins over the config file and the effective value is recorded
     assert manifest["config"]["horizon"] == "30"
     assert manifest["config"]["n-traj"] == "1"
+    # every run setting is a flag; there is no config file to read
+    proc = run([*sample, "--config", "run.cfg"], tmp_path, check=False)
+    assert proc.returncode == 2 and "unrecognized arguments: --config" in proc.stderr
 
 
 def run_in_process(argv, monkeypatch):

@@ -25,10 +25,9 @@ E = LAMP.identity()
 
 def test_level_one_starts_at_identity(mini_asym, paper_asym):
     for c in (mini_asym, paper_asym):
-        lv = c.level(1)
         for j in (1, 2):
             assert c.a_core(j, 1) == (E,)
-            assert lv.factor(j).a_card == 1
+            assert c.a_state(j, 1).card == 1
 
 
 def test_level_one_box_is_width_one(paper_asym):
@@ -104,7 +103,7 @@ def test_core_nesting_and_exactness(mini_asym):
         c1 = set(mini_asym.a_core(j, 1))
         c2 = set(mini_asym.a_core(j, 2))
         assert c1 <= c2
-        assert mini_asym.level(2).factor(j).a_exact
+        assert mini_asym.a_state(j, 2).exact
 
 
 def test_symmetric_cores_are_symmetric(mini_sym):
@@ -261,6 +260,8 @@ def test_v1_file_rejected(tmp_path, mini_asym):
 @pytest.mark.parametrize("old, new", [
     ("mini-box-cap: 2", "mini-box-cap: 3"),
     ("size-cap: 1000000", "size-cap: many"),
+    ("core-level-cap: 4", "core-level-cap: 5"),
+    ("brute-verify: yes", "brute-verify: maybe"),
     ("schedule: mini", "schedule: tiny"),
     ("levels: 2", "levels: -1"),
     ("levels: 2", "levels: x"),
@@ -273,6 +274,55 @@ def test_bad_header_value_rejected(tmp_path, mini_asym, old, new):
     path.write_text(body + f"sha256: {hashlib.sha256(body.encode()).hexdigest()}\n")
     with pytest.raises(CorruptFileError, match="bad header"):
         Construction.load(path)
+
+
+# sha256 of the canonical body of each build, keyed (mode, schedule, mini box
+# cap, brute verify, levels); the benchmark pins only its own build, so these
+# make a change to the body writer or to any build step fail here
+PINNED_DIGESTS = {
+    ("asymmetric", "mini", 1, True, 2):
+        "961bd37dbf777219072b804656c7e16ea1cc80f10cb3790b2aa7c91c1ccd7e33",
+    ("asymmetric", "mini", 1, False, 2):
+        "033afe6caf5f35b2b05139399ed5f47dfe803e40b9004c4fe55092d0824f26f6",
+    ("asymmetric", "mini", 2, True, 2):
+        "ab6c240bc2149250f536c7df9f73dadd9049fbea00600757041f8e9d5600a6c3",
+    ("asymmetric", "mini", 2, False, 2):
+        "560a83534484d4c092f412ae71bbfa67f08b36812533bb3a35f850c31612e309",
+    ("asymmetric", "mini", 1, False, 40):
+        "cb85b9ef8cc5c5acbb3725758921e86ac66c7ec82a6f2b7424fd639b8272a148",
+    ("asymmetric", "mini", 1, True, 600):
+        "a47e9049eb1c8fde84d487b3416a424358e21367484e7592efa865dd3288f795",
+    ("symmetric", "mini", 2, True, 2):
+        "b4f4fa06e3d2c6f43f14b2c6673495316b5cd2cfbe3af0ded8eb4664bde3a5e9",
+    ("symmetric", "mini", 1, False, 2):
+        "862475ba655ae2ffd85172e81f31fa2ba9e33fc2df6d060577dd35bcdb6f7866",
+    ("symmetric", "mini", 1, False, 40):
+        "e59f0feac55fa1215220fb7dea6cf1bc3b2bf064c22265abe52a4b7551589afb",
+    ("asymmetric", "paper", 2, True, 3):
+        "41c672dc2e4dbbe427b26dae4a9b9ded01c0b382a4cb9608135591ff7edc839f",
+    ("symmetric", "paper", 2, True, 2):
+        "939fbb6067c4c87d3a9678aeeb1ddc9624d087aca952cc74ac2e97833cfe42f4",
+}
+
+# the pinned builds a session fixture already holds
+FIXTURE_BUILDS = {
+    ("asymmetric", "mini", 1, False, 2): "mini_asym_small",
+    ("asymmetric", "mini", 2, True, 2): "mini_asym",
+    ("symmetric", "mini", 2, True, 2): "mini_sym",
+    ("symmetric", "mini", 1, False, 2): "mini_sym_small",
+    ("asymmetric", "paper", 2, True, 3): "paper_asym",
+}
+
+
+@pytest.mark.parametrize("recipe", list(PINNED_DIGESTS), ids=lambda r: "-".join(map(str, r)))
+def test_digest_pinned(request, recipe):
+    if recipe in FIXTURE_BUILDS:
+        c = request.getfixturevalue(FIXTURE_BUILDS[recipe])
+    else:
+        mode, schedule, cap, brute, depth = recipe
+        c = Construction(mode, schedule, Config(brute_verify=brute, mini_box_cap=cap))
+        c.build_to(depth)
+    assert c.digest() == PINNED_DIGESTS[recipe]
 
 
 def test_paper_serialize_roundtrip(tmp_path, paper_asym):

@@ -20,7 +20,6 @@ from lampwalk.switchers import (
     find_switcher_bfs,
     is_superswitcher,
     is_switcher,
-    switcher_covers,
 )
 
 LAMP = lamplighter_group()
@@ -113,12 +112,6 @@ def test_self_inverse_identification_allowed():
     rep = is_superswitcher(b, a)
     # disjointness holds (a is not in {e}), collision only via b = b^-1
     assert rep.passed
-
-
-def test_switcher_covers_guard():
-    cert = BoundCertificate(2, 2)
-    assert switcher_covers(analytic_switcher(cert), cert)
-    assert not switcher_covers(LamplighterElement((), 5), cert)
 
 
 def test_bfs_search_singleton():

@@ -25,16 +25,24 @@ from lampwalk.tvbound import (
     _level_loss,
     certified_marginal_bound,
     convolve,
-    delta_pmf,
     exact_joint_pmf,
     exact_marginal,
     translate,
     tv,
-    uniform_pmf,
 )
 
 LAMP = lamplighter_group()
 E = LAMP.identity()
+
+
+def delta_pmf(g) -> SparsePMF:
+    return SparsePMF({g: 1.0})
+
+
+def uniform_pmf(elements) -> SparsePMF:
+    elements = list(elements)
+    w = 1.0 / len(elements)
+    return SparsePMF({g: w for g in elements})
 
 
 def test_delta_convolution_identities():

@@ -7,6 +7,8 @@ import pytest
 from lampwalk import verify
 from lampwalk.construction import Config, Construction
 from lampwalk.errors import ScheduleLimitError
+from lampwalk.groups import encode, inverse
+from lampwalk.tvbound import SparsePMF, exact_joint_pmf
 
 
 def test_suite_builds_each_window_index_once(mini_sym_small, monkeypatch):
@@ -60,3 +62,18 @@ def test_switcher_scan_failure_is_reported():
     ok, detail = rows["switcher-inner-L1j1"]
     assert not ok and "; witness (" in detail
     assert rows["switcher-inner-L1j2"][0] and rows["switcher-outer-L1j2"][0]
+
+
+def test_pmf_symmetry_fails_on_a_support_not_closed_under_inverse(mini_sym_small, monkeypatch):
+    def without_one_inverse(c, kdist):
+        probs = dict(exact_joint_pmf(c, kdist).probs)
+        g = next(g for g in sorted(probs, key=encode) if inverse(g) != g)
+        del probs[inverse(g)]
+        return SparsePMF(probs, tolerance=1.0)  # the mass no longer sums to 1
+
+    [(name, ok, detail)] = verify._check_pmf_symmetry(mini_sym_small)
+    assert ok, detail
+    monkeypatch.setattr(verify, "exact_joint_pmf", without_one_inverse)
+    [(name, ok, detail)] = verify._check_pmf_symmetry(mini_sym_small)
+    assert (name, ok) == ("pmf-symmetry", False)
+    assert detail.startswith("the support misses the inverse of ")
