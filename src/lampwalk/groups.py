@@ -25,6 +25,7 @@ closed off.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
@@ -248,67 +249,101 @@ def is_identity(a: Element) -> bool:
 # lamplighter:      <cursor>|<lamp>,<lamp>,...   lamps sorted ascending
 # product:          (<enc-left>;<enc-right>)     split at top-level ';'
 # abelian control:  <x>,<y>
+# integer:          0 | -?[1-9][0-9]*            one text per integer
+#
+# ``encode`` and ``decode`` take an optional integer table (int -> text for
+# encode, text -> int for decode) that a caller passes fresh for one batch of
+# related elements, such as the cells of one file: deep partial products
+# repeat integers thousands of digits long, and the table converts each
+# distinct one once.  Without one, each call uses a fresh table; the table is
+# only a cache, and the result is the same.
+
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*").fullmatch
 
 
-def encode(a: Element) -> str:
-    if isinstance(a, LamplighterElement):
-        try:
-            return f"{a.cursor}|{','.join(str(p) for p in a.lamps)}"
-        except ValueError:
-            # an integer past the interpreter's decimal-digit limit
-            limit = sys.get_int_max_str_digits()
-            raise SizeCapError(
-                f"cannot encode: a cursor or lamp exceeds {limit} decimal digits",
-                cap=limit,
-            ) from None
+def _int_text(n: int, table: dict) -> str:
+    text = table.get(n)
+    if text is None:
+        text = table[n] = str(n)
+    return text
+
+
+def encode(a: Element, table: dict | None = None) -> str:
+    if table is None:
+        table = {}
+    try:
+        if isinstance(a, LamplighterElement):
+            return f"{_int_text(a[1], table)}|{','.join([_int_text(p, table) for p in a[0]])}"
+        if isinstance(a, AbelianControlElement):
+            return f"{_int_text(a[0], table)},{_int_text(a[1], table)}"
+    except ValueError:
+        # an integer past the interpreter's decimal-digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SizeCapError(
+            f"cannot encode: a cursor or lamp exceeds {limit} decimal digits",
+            cap=limit,
+        ) from None
     if isinstance(a, ProductElement):
-        return f"({encode(a.left)};{encode(a.right)})"
-    if isinstance(a, AbelianControlElement):
-        return f"{a.x},{a.y}"
+        return f"({encode(a[0], table)};{encode(a[1], table)})"
     raise GroupMismatchError(f"cannot encode {type(a).__name__}")
 
 
-def _parse_int(text: str, offset: int) -> int:
-    stripped = text.strip()
-    if not stripped:
-        raise ParseError("expected an integer, got empty field", text, offset)
-    try:
-        return int(stripped)
-    except ValueError:
-        raise ParseError(f"not an integer: {stripped!r}", text, offset) from None
+def _parse_int(text: str, offset: int, table: dict) -> int:
+    n = table.get(text)
+    if n is None:
+        if not text:
+            raise ParseError("expected an integer, got empty field", text, offset)
+        if not _CANONICAL_INT(text):
+            raise ParseError(f"not a canonical integer: {text!r}", text, offset)
+        try:
+            n = table[text] = int(text)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"integer exceeds {limit} decimal digits", text, offset) from None
+    return n
 
 
-def decode(text: str, offset: int = 0) -> Element:
-    """Parse the canonical grammar; rejects non-canonical lamp lists."""
+def _top_level_split(inner: str) -> int:
+    """Index of the first ';' of ``inner`` outside parentheses, or -1."""
+    split = inner.find(";")
+    if split < 0 or (inner.find("(", 0, split) < 0 and inner.find(")", 0, split) < 0):
+        # no parenthesis before the first ';': it is at depth 0
+        return split
+    depth = 0
+    for i, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == ";" and depth == 0:
+            return i
+    return -1
+
+
+def decode(text: str, offset: int = 0, table: dict | None = None) -> Element:
+    """Parse the canonical grammar; rejects non-canonical integers and lamp lists."""
+    if table is None:
+        table = {}
     if text.startswith("("):
         if not text.endswith(")"):
             raise ParseError("unbalanced parentheses", text, offset + len(text) - 1)
         inner = text[1:-1]
-        depth = 0
-        split = -1
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == ";" and depth == 0:
-                split = i
-                break
+        split = _top_level_split(inner)
         if split < 0:
             raise ParseError("product element needs a top-level ';'", text, offset)
-        left = decode(inner[:split], offset + 1)
-        right = decode(inner[split + 1 :], offset + 2 + split)
+        left = decode(inner[:split], offset + 1, table)
+        right = decode(inner[split + 1 :], offset + 2 + split, table)
         return ProductElement(left, right)
     if "|" in text:
         bar = text.index("|")
-        cursor = _parse_int(text[:bar], offset)
+        cursor = _parse_int(text[:bar], offset, table)
         lamp_text = text[bar + 1 :]
         if not lamp_text:
             return _lamp((), cursor)
         lamps = []
         pos = offset + bar + 1
         for field in lamp_text.split(","):
-            lamps.append(_parse_int(field, pos))
+            lamps.append(_parse_int(field, pos, table))
             pos += len(field) + 1
         for prev, nxt in zip(lamps, lamps[1:]):
             if prev >= nxt:
@@ -318,8 +353,8 @@ def decode(text: str, offset: int = 0) -> Element:
         return _lamp(tuple(lamps), cursor)
     if "," in text:
         comma = text.index(",")
-        x = _parse_int(text[:comma], offset)
-        y = _parse_int(text[comma + 1 :], offset + comma + 1)
+        x = _parse_int(text[:comma], offset, table)
+        y = _parse_int(text[comma + 1 :], offset + comma + 1, table)
         return AbelianControlElement(x, y)
     raise ParseError("unrecognized element grammar", text, offset)
 

@@ -310,31 +310,33 @@ TRAJECTORY_COLUMNS = [
 ]
 
 
+def _cell(text: str) -> str:
+    """A CSV cell as ``csv.writer`` quotes it: these cells hold no quote or newline."""
+    return f'"{text}"' if "," in text else text
+
+
 def write_trajectory_csv(path, traj: Trajectory, manifest_digest: str = "") -> None:
+    """One CRLF row per step after the header, each cell quoted iff it has a comma.
+
+    The bytes equal a ``csv.writer`` rendering of the same rows.
+    """
     from .analysis import analyze_records, stable_so_far_flags
 
     report = analyze_records(traj.ks())
     records = set(report.record_times)
     simple = set(report.simple_record_times)
     flags = stable_so_far_flags(traj)
+    ints: dict = {}  # one decimal conversion per distinct integer in this file
     with open(path, "w", newline="") as fh:
         if manifest_digest:
             fh.write(f"# manifest {manifest_digest}\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for i, step in enumerate(traj.steps, start=1):
-            writer.writerow(
-                [
-                    i,
-                    step.k,
-                    step.y,
-                    step.sigma,
-                    encode(step.x) if step.x is not None else "",
-                    encode(traj.z(i)) if traj.z_materialized(i) else "",
-                    int(i in records),
-                    int(i in simple),
-                    int(flags[i - 1]),
-                ]
+            x_cell = _cell(encode(step.x, ints)) if step.x is not None else ""
+            z_cell = _cell(encode(traj.z(i), ints)) if traj.z_materialized(i) else ""
+            fh.write(
+                f"{i},{step.k},{step.y},{step.sigma},{x_cell},{z_cell},"
+                f"{int(i in records)},{int(i in simple)},{int(flags[i - 1])}\r\n"
             )
 
 
@@ -343,21 +345,21 @@ def read_trajectory_csv(path) -> Trajectory:
 
     csv.field_size_limit(2**31 - 1)  # partial products outgrow the default cap
     traj = Trajectory([], bytearray(), bytearray())
+    ints: dict = {}  # one int() per distinct integer text in this file
     with open(path) as fh:
-        rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.reader(rows)
-    header = next(reader)
-    if header != TRAJECTORY_COLUMNS:
-        raise OracleRangeError(f"unexpected trajectory columns: {header}")
-    for i, row in enumerate(reader):
-        (_, k, y, sigma, x_text, z_text, *_rest) = row
-        if y not in ("red", "blue") or sigma not in ("1", "-1"):
-            raise CorruptFileError(f"{path}: step {i + 1} has colour {y!r} and sign {sigma!r}")
-        traj.k.append(int(k))
-        traj.red.append(y == "red")
-        traj.neg.append(sigma == "-1")
-        if x_text:
-            traj.elements[i] = (None, None, decode(x_text))
-        if z_text and len(traj.zs) == i:
-            traj.zs.append(decode(z_text))
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        header = next(reader)
+        if header != TRAJECTORY_COLUMNS:
+            raise OracleRangeError(f"unexpected trajectory columns: {header}")
+        for i, row in enumerate(reader):
+            (_, k, y, sigma, x_text, z_text, *_rest) = row
+            if y not in ("red", "blue") or sigma not in ("1", "-1"):
+                raise CorruptFileError(f"{path}: step {i + 1} has colour {y!r} and sign {sigma!r}")
+            traj.k.append(int(k))
+            traj.red.append(y == "red")
+            traj.neg.append(sigma == "-1")
+            if x_text:
+                traj.elements[i] = (None, None, decode(x_text, table=ints))
+            if z_text and len(traj.zs) == i:
+                traj.zs.append(decode(z_text, table=ints))
     return traj

@@ -287,6 +287,65 @@ def test_decode_rejects_garbage():
             decode(bad)
 
 
+@pytest.mark.parametrize("bad", ["1_0|", "+3|", "007|", " 5|", "1|2, 3", "-0|", "1|\u0663", "3,-0"])
+def test_decode_rejects_noncanonical_integers(bad):
+    # int() accepts each of these, so encode(decode(bad)) would differ from bad
+    with pytest.raises(ParseError) as err:
+        decode(bad)
+    assert err.value.position is not None
+
+
+def test_decode_past_digit_limit_reports_position():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError) as err:
+        decode(f"(0|;1|0,{digits})")
+    assert err.value.position == 8
+
+
+def test_integer_tables_change_no_text_or_element():
+    rng = random.Random(5)
+    pool = [random_element(group, rng) for group in (LAMP, CONTROL, PRODUCT) for _ in range(300)]
+    big = 1 << 5000
+    pool.append(ProductElement(LamplighterElement((-big, big), big), LamplighterElement((big,), -big)))
+    to_text, to_int = {}, {}
+    texts = [encode(g, to_text) for g in pool]
+    assert texts == [encode(g) for g in pool]
+    assert [decode(t, table=to_int) for t in texts] == pool
+    assert to_text == {n: t for t, n in to_int.items()}
+
+
+def random_nested(rng):
+    """An element of (L x L) x L, or of L x (L x L), the fast split's two cases."""
+    pair = ProductElement(random_lamp(rng), random_lamp(rng))
+    if rng.random() < 0.5:
+        return ProductElement(pair, random_lamp(rng))
+    return ProductElement(random_lamp(rng), pair)
+
+
+def test_nested_products_roundtrip():
+    rng = random.Random(4)
+    table = {}
+    for _ in range(2000):
+        g = random_nested(rng)
+        assert decode(encode(g)) == g
+        assert decode(encode(g), table=table) == g
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("(1|);2|)", "product element needs a top-level ';' (at position 0)"),
+        ("((1|;2|)", "product element needs a top-level ';' (at position 0)"),
+        ("(;)", "unrecognized element grammar (at position 1)"),
+        ("(1|;)", "unrecognized element grammar (at position 4)"),
+    ],
+)
+def test_product_split_errors_keep_their_messages(bad, message):
+    with pytest.raises(ParseError) as err:
+        decode(bad)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("group", [LAMP, CONTROL, PRODUCT], ids=lambda g: g.kind)
 def test_roundtrip_random(group):
     rng = random.Random(3)

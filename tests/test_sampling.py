@@ -1,15 +1,19 @@
 """Coupled sampling: level law, color coupling, increments, exact pmf oracle."""
 
+import csv
 import dataclasses
+import io
 import math
 import random
 
 import pytest
 
+from lampwalk.analysis import analyze_records, stable_so_far_flags
 from lampwalk.construction import Config, Construction
 from lampwalk.errors import CorruptFileError
 from lampwalk.groups import ProductElement, encode, inverse, multiply
 from lampwalk.sampling import (
+    TRAJECTORY_COLUMNS,
     CoupledStep,
     KDistribution,
     pmf_eval,
@@ -162,6 +166,41 @@ def test_trajectory_csv_roundtrip_keeps_the_columns(mini_sym, tmp_path):
     path.write_text("".join(lines))
     with pytest.raises(CorruptFileError, match="colour 'green'"):
         read_trajectory_csv(path)
+
+
+def _csv_writer_rendering(traj, digest) -> bytes:
+    """The trajectory file as ``csv.writer`` renders its rows."""
+    report = analyze_records(traj.ks())
+    flags = stable_so_far_flags(traj)
+    buf = io.StringIO(newline="")
+    buf.write(f"# manifest {digest}\n")
+    writer = csv.writer(buf)
+    writer.writerow(TRAJECTORY_COLUMNS)
+    for i, step in enumerate(traj.steps, start=1):
+        writer.writerow([
+            i, step.k, step.y, step.sigma,
+            encode(step.x) if step.x is not None else "",
+            encode(traj.z(i)) if traj.z_materialized(i) else "",
+            int(i in report.record_times), int(i in report.simple_record_times), int(flags[i - 1]),
+        ])
+    return buf.getvalue().encode()
+
+
+def test_trajectory_csv_bytes_equal_a_csv_writer_rendering(mini_sym, tmp_path):
+    traj = walk(mini_sym, 60, random.Random(7), kdist=KDistribution(truncation=50), x_level_cap=2)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, traj, "d" * 64)
+    data = path.read_bytes()
+    assert data == _csv_writer_rendering(traj, "d" * 64)
+    # the walk holds every kind of cell the writer formats
+    assert data.startswith(b"# manifest " + b"d" * 64 + b"\n")
+    text = data.decode()
+    cells = [cell for row in csv.reader(text.splitlines()[2:]) for cell in row[4:6]]
+    assert "" in cells
+    assert any(f'"{cell}"' in text for cell in cells if "," in cell)
+    assert any(cell and "," not in cell for cell in cells)  # unquoted, such as (1|;1|)
+    back = read_trajectory_csv(path)
+    assert back.zs == traj.zs
 
 
 def test_walk_determinism(mini_asym):
