@@ -317,22 +317,23 @@ class WindowIndex:
         joint set itself is never materialized.
         """
         pair_witnesses = []
-        for fm in self.factors:
-            for g, entries in fm.values.items():
-                per_slice = {}
-                for sid, ia, ib in entries:
-                    per_slice.setdefault(sid, []).append((ia, ib))
-                for sid, qs in per_slice.items():
-                    if len(qs) > 1:
-                        pair_witnesses.append((g, sid, qs[:2]))
-            if pair_witnesses:
-                return False, pair_witnesses
         cross = [set(), set()]
         for fi, fm in enumerate(self.factors):
             for g, entries in fm.values.items():
+                if len(entries) == 1:
+                    continue
                 sids = sorted({sid for sid, _, _ in entries})
+                if len(sids) < len(entries):  # a slice repeats: group its q-choices
+                    per_slice = {}
+                    for sid, ia, ib in entries:
+                        per_slice.setdefault(sid, []).append((ia, ib))
+                    for sid, qs in per_slice.items():
+                        if len(qs) > 1:
+                            pair_witnesses.append((g, sid, qs[:2]))
                 if len(sids) > 1:
                     cross[fi].update(itertools.combinations(sids, 2))
+            if pair_witnesses:
+                return False, pair_witnesses
         both = cross[0] & cross[1]
         if both:
             return False, sorted(both)

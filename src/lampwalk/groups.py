@@ -29,7 +29,7 @@ import re
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import GroupMismatchError, ParseError, SizeCapError
 
@@ -105,6 +105,49 @@ class LamplighterElement(_TupleElement):
 
     def is_identity(self) -> bool:
         return not self[0] and self[1] == 0
+
+
+def _product_row(rights: list) -> Callable[[Element], Iterable]:
+    """Row kernel of the brute switcher scan: ``row(left)`` yields ``left * r``
+    for every r of ``rights``, in order.
+
+    Lamplighter rows repeat ``__mul__`` on plain ``(lamps, cursor)`` tuples,
+    which equal and hash like the elements (see the module docstring); the
+    right-hand lamps are shifted once per distinct left cursor and kept for
+    the kernel's lifetime.  Other kinds multiply element by element, lazily,
+    so a scan that stops early skips the rest of the row.
+    """
+    if not all(type(r) is LamplighterElement for r in rights):
+        return lambda left: (multiply(left, r) for r in rights)
+    shifted = {}  # left cursor -> [(right lamps shifted by it, product cursor)]
+
+    def row(left):
+        lamps, t = left
+        cached = shifted.get(t)
+        if cached is None:
+            cached = shifted[t] = [
+                (tuple([p + t for p in theirs]) if t else theirs, t + c) for theirs, c in rights
+            ]
+        if not lamps:
+            return cached
+        lo, hi = lamps[0], lamps[-1]
+        mine = None
+        out = []
+        for theirs, cursor in cached:
+            # lamp ranges that do not meet concatenate; only overlaps need the xor
+            if not theirs:
+                out.append((lamps, cursor))
+            elif hi < theirs[0]:
+                out.append((lamps + theirs, cursor))
+            elif theirs[-1] < lo:
+                out.append((theirs + lamps, cursor))
+            else:
+                if mine is None:
+                    mine = set(lamps)
+                out.append((tuple(sorted(mine.symmetric_difference(theirs))), cursor))
+        return out
+
+    return row
 
 
 def _lamp(lamps: tuple[int, ...], cursor: int) -> LamplighterElement:

@@ -343,23 +343,28 @@ def write_trajectory_csv(path, traj: Trajectory, manifest_digest: str = "") -> N
 def read_trajectory_csv(path) -> Trajectory:
     from .groups import decode
 
-    csv.field_size_limit(2**31 - 1)  # partial products outgrow the default cap
     traj = Trajectory([], bytearray(), bytearray())
     ints: dict = {}  # one int() per distinct integer text in this file
-    with open(path) as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
-        if header != TRAJECTORY_COLUMNS:
-            raise OracleRangeError(f"unexpected trajectory columns: {header}")
-        for i, row in enumerate(reader):
-            (_, k, y, sigma, x_text, z_text, *_rest) = row
-            if y not in ("red", "blue") or sigma not in ("1", "-1"):
-                raise CorruptFileError(f"{path}: step {i + 1} has colour {y!r} and sign {sigma!r}")
-            traj.k.append(int(k))
-            traj.red.append(y == "red")
-            traj.neg.append(sigma == "-1")
-            if x_text:
-                traj.elements[i] = (None, None, decode(x_text, table=ints))
-            if z_text and len(traj.zs) == i:
-                traj.zs.append(decode(z_text, table=ints))
+    # partial products outgrow the default cap; the process-wide limit is
+    # raised for this read only
+    limit = csv.field_size_limit(2**31 - 1)
+    try:
+        with open(path) as fh:
+            reader = csv.reader(line for line in fh if not line.startswith("#"))
+            header = next(reader)
+            if header != TRAJECTORY_COLUMNS:
+                raise OracleRangeError(f"unexpected trajectory columns: {header}")
+            for i, row in enumerate(reader):
+                (_, k, y, sigma, x_text, z_text, *_rest) = row
+                if y not in ("red", "blue") or sigma not in ("1", "-1"):
+                    raise CorruptFileError(f"{path}: step {i + 1} has colour {y!r} and sign {sigma!r}")
+                traj.k.append(int(k))
+                traj.red.append(y == "red")
+                traj.neg.append(sigma == "-1")
+                if x_text:
+                    traj.elements[i] = (None, None, decode(x_text, table=ints))
+                if z_text and len(traj.zs) == i:
+                    traj.zs.append(decode(z_text, table=ints))
+    finally:
+        csv.field_size_limit(limit)
     return traj

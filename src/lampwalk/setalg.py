@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .errors import MembershipError, SizeCapError
@@ -54,7 +55,12 @@ class ExplicitSet:
         return iter(self.sorted_elements())
 
     def sorted_elements(self) -> list[Element]:
-        return sorted(self.elements, key=encode)
+        return list(self._sorted)
+
+    @cached_property
+    def _sorted(self) -> tuple:
+        # find_switcher_bfs scans one set per candidate; it is sorted once
+        return tuple(sorted(self.elements, key=encode))
 
 
 def explicit(group: GroupDescriptor, elements: Iterable[Element]) -> ExplicitSet:

@@ -13,6 +13,13 @@ zone [-R, R], the pin zone [P-M, P+M], and the shifted lamp zone
 lamps, the pin reveals a1's cursor, and the rest reveals a2.  The cursor of
 any product in A b^{+1} A sits in [N-2M, N+2M], which misses [-M, M] and
 [-N-2M, -N+2M], giving the disjointness clauses and the sign recovery.
+
+Both brute checks are one scan over the triples (s, a1, a2), indexed
+(s * |A| + i1) * |A| + i2 in sign order, then A's sorted order; a switcher is
+the one-sign case.  groups' row kernel builds each row a1 b^s A as plain
+(lamps, cursor) tuples, only products on a cursor of A are looked up in A,
+and the collision table maps a product to its first triple's int index,
+which becomes elements only in a witness.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .groups import (
     Element,
     GroupDescriptor,
     LamplighterElement,
+    _product_row,
     encode,
     inverse,
     is_identity,
@@ -54,65 +62,56 @@ def is_switcher(b: Element, a: ExplicitSet) -> SwitcherReport:
     One pass over A x A checks the disjointness clause and the injectivity
     clause together and exits at the first counterexample of either kind.
     """
-    against = f"explicit set of {len(a)} elements"
-    elems = a.sorted_elements()
-    members = a.elements
-    seen = {}
-    for a1 in elems:
-        a1b = multiply(a1, b)
-        for a2 in elems:
-            prod = multiply(a1b, a2)
-            if prod in members:
-                return SwitcherReport(
-                    b, "switcher", False, "brute", against,
-                    witness=(a1, a2),
-                    reason=f"{encode(a1)}*b*{encode(a2)} lands back in A",
-                )
-            if prod in seen:
-                return SwitcherReport(
-                    b, "switcher", False, "brute", against,
-                    witness=(seen[prod], (a1, a2)),
-                    reason="two pairs give the same product a1*b*a2",
-                )
-            seen[prod] = (a1, a2)
-    return SwitcherReport(b, "switcher", True, "brute", against)
+    return _scan(b, a, "switcher", (b,))
 
 
 def is_superswitcher(b: Element, a: ExplicitSet) -> SwitcherReport:
     """Both disjointness clauses plus joint injectivity over A x {+-1} x A.
 
-    When b equals its own inverse the two signs give the same products, which
-    the definition allows; any other collision is a counterexample.
+    When b equals its own inverse the definition allows the two signs to give
+    the same products; sign -1 then repeats sign +1, so only sign +1 is scanned.
     """
-    against = f"explicit set of {len(a)} elements"
     binv = inverse(b)
-    b_self_inverse = b == binv
+    return _scan(b, a, "superswitcher", (b,) if b == binv else (b, binv))
+
+
+def _scan(b: Element, a: ExplicitSet, kind: str, powers: tuple) -> SwitcherReport:
+    """The one brute scan over A x powers x A; the module docstring has its layout."""
     elems = a.sorted_elements()
-    members = a.elements
-    seen = {}
-    for sign, bb in ((1, b), (-1, binv)):
-        for a1 in elems:
-            a1b = multiply(a1, bb)
-            for a2 in elems:
-                prod = multiply(a1b, a2)
-                if prod in members:
-                    return SwitcherReport(
-                        b, "superswitcher", False, "brute", against,
-                        witness=(a1, sign, a2),
-                        reason=f"A meets A b^{sign} A",
-                    )
-                if prod in seen:
-                    p1, psign, p2 = seen[prod]
-                    same_b_power = psign == sign or b_self_inverse
-                    if not (p1 == a1 and p2 == a2 and same_b_power):
-                        return SwitcherReport(
-                            b, "superswitcher", False, "brute", against,
-                            witness=((p1, psign, p2), (a1, sign, a2)),
-                            reason="two triples give the same product a1*b^s*a2",
-                        )
-                else:
-                    seen[prod] = (a1, sign, a2)
-    return SwitcherReport(b, "superswitcher", True, "brute", against)
+    n = len(elems)
+    cursors = {x[1] for x in elems}
+    row = _product_row(elems)
+    setdefault = {}.setdefault  # the collision table: product -> first triple index
+    for si, bb in enumerate(powers):
+        for i1, a1 in enumerate(elems):
+            for i, prod in enumerate(row(multiply(a1, bb)), (si * n + i1) * n):
+                if prod[1] in cursors and prod in a.elements:
+                    return _failure(b, kind, elems, i)
+                j = setdefault(prod, i)
+                if j != i:
+                    return _failure(b, kind, elems, i, j)
+    return SwitcherReport(b, kind, True, "brute", f"explicit set of {n} elements")
+
+
+def _failure(b: Element, kind: str, elems: list, i: int, j: Optional[int] = None) -> SwitcherReport:
+    """Report of a scan stopped at triple i: its product is in A, or repeats triple j's."""
+    n = len(elems)
+
+    def triple(index):
+        si, rest = divmod(index, n * n)
+        a1, a2 = elems[rest // n], elems[rest % n]
+        return (a1, a2) if kind == "switcher" else (a1, 1 - 2 * si, a2)
+
+    w = triple(i)
+    if j is not None:
+        w = (triple(j), w)
+        reason = ("two pairs give the same product a1*b*a2" if kind == "switcher"
+                  else "two triples give the same product a1*b^s*a2")
+    elif kind == "switcher":
+        reason = f"{encode(w[0])}*b*{encode(w[1])} lands back in A"
+    else:
+        reason = f"A meets A b^{w[1]} A"
+    return SwitcherReport(b, kind, False, "brute", f"explicit set of {n} elements", w, reason)
 
 
 @lru_cache(maxsize=8)

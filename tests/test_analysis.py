@@ -1,5 +1,6 @@
 """Record analytics, window decompositions, tails, and freeness."""
 
+import copy
 import random
 
 import pytest
@@ -335,6 +336,31 @@ def test_unique_decomposition_and_disjointness(fixture, request):
         assert okp, witnessesp
     w1, w2 = oracle.index(1), oracle.index(2)
     assert not any(g in w2 for g in w1.iter_elements())
+
+
+def _planted(index, values1, values2):
+    """A copy of ``index`` whose two factor maps hold the given entries."""
+    planted = copy.copy(index)
+    planted.factors = [analysis._FactorMap(v, [], []) for v in (values1, values2)]
+    return planted
+
+
+def test_certify_unique_reports_planted_collisions(mini_asym_small):
+    index = WindowOracle(mini_asym_small).index(1)
+    assert index.certify_unique() == (True, [])
+    # a form reached twice inside slice 0 of factor 1; its first two q-choices are the witness
+    same = {"g": [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 2, 2)], "h": [(2, 0, 0)]}
+    assert _planted(index, same, {}).certify_unique() == (False, [("g", 0, [(0, 0), (1, 0)])])
+    # factor 2's same-slice collisions count only when factor 1 has none
+    other = {"x": [(4, 0, 1), (4, 1, 1)]}
+    assert _planted(index, same, other).certify_unique() == (False, [("g", 0, [(0, 0), (1, 0)])])
+    assert _planted(index, {}, other).certify_unique() == (False, [("x", 4, [(0, 1), (1, 1)])])
+    # slices 0 and 3, and 1 and 5, meet in both factors: sorted slice pairs
+    f1 = {"g": [(3, 0, 0), (0, 0, 0)], "k": [(5, 0, 0), (1, 0, 0), (3, 1, 1)], "m": [(2, 0, 0)]}
+    f2 = {"x": [(0, 0, 0), (3, 0, 0)], "y": [(1, 0, 0), (5, 0, 0)], "z": [(2, 1, 0), (4, 0, 0)]}
+    assert _planted(index, f1, f2).certify_unique() == (False, [(0, 3), (1, 5)])
+    # slices that meet in one factor only are no collision
+    assert _planted(index, f1, {"z": [(2, 1, 0), (4, 0, 0)]}).certify_unique() == (True, [])
 
 
 def test_identity_has_no_decomposition(mini_asym):

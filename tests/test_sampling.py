@@ -11,11 +11,12 @@ import pytest
 from lampwalk.analysis import analyze_records, stable_so_far_flags
 from lampwalk.construction import Config, Construction
 from lampwalk.errors import CorruptFileError
-from lampwalk.groups import ProductElement, encode, inverse, multiply
+from lampwalk.groups import LamplighterElement, ProductElement, encode, inverse, multiply
 from lampwalk.sampling import (
     TRAJECTORY_COLUMNS,
     CoupledStep,
     KDistribution,
+    Trajectory,
     pmf_eval,
     read_trajectory_csv,
     sample_x,
@@ -201,6 +202,27 @@ def test_trajectory_csv_bytes_equal_a_csv_writer_rendering(mini_sym, tmp_path):
     assert any(cell and "," not in cell for cell in cells)  # unquoted, such as (1|;1|)
     back = read_trajectory_csv(path)
     assert back.zs == traj.zs
+
+
+def test_reading_a_huge_cell_leaves_the_csv_field_limit_alone(tmp_path):
+    x = ProductElement(LamplighterElement(range(30_000), 0), LamplighterElement((), 1))
+    traj = Trajectory([1], bytearray(1), elements={0: (None, None, x)}, zs=[x])
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, traj)
+    default = 131_072
+    assert len(encode(x)) > default
+    previous = csv.field_size_limit(default)
+    try:
+        back = read_trajectory_csv(path)
+        assert csv.field_size_limit() == default
+        assert back.steps[0].x == x and back.zs == [x]
+        # a read that fails part way also puts the limit back
+        path.write_text(path.read_text().replace(",blue,", ",green,"))
+        with pytest.raises(CorruptFileError):
+            read_trajectory_csv(path)
+        assert csv.field_size_limit() == default
+    finally:
+        csv.field_size_limit(previous)
 
 
 def test_walk_determinism(mini_asym):

@@ -51,6 +51,15 @@ def random_small_set(rng, radius=2, max_size=5):
     return explicit(LAMP, rng.sample(ball, size))
 
 
+def test_sorted_elements_is_a_fresh_list_in_encoding_order():
+    a = explicit(LAMP, word_ball(LAMP, 2))
+    first = a.sorted_elements()
+    assert first == sorted(a.elements, key=encode) == list(a)
+    first.reverse()  # the sort is kept per set; a caller's list is its own
+    assert a.sorted_elements() == sorted(a.elements, key=encode)
+    assert a == explicit(LAMP, a.elements) and hash(a) == hash(explicit(LAMP, a.elements))
+
+
 # -- products, powers, symmetrization ---------------------------------------------
 
 

@@ -7,15 +7,19 @@ from lampwalk.groups import (
     LAMP_S,
     AbelianControlElement,
     LamplighterElement,
+    ProductElement,
+    _product_row,
     abelian_control_group,
     encode,
     inverse,
     lamplighter_group,
     multiply,
+    product_group,
     word_ball,
 )
 from lampwalk.setalg import BoundCertificate, certify, explicit, symmetrize
 from lampwalk.switchers import (
+    SwitcherReport,
     analytic_switcher,
     find_switcher_bfs,
     is_superswitcher,
@@ -24,6 +28,7 @@ from lampwalk.switchers import (
 
 LAMP = lamplighter_group()
 CONTROL = abelian_control_group()
+PRODUCT = product_group(LAMP, LAMP)
 E = LAMP.identity()
 
 
@@ -133,3 +138,162 @@ def test_bfs_result_always_passes():
         found = find_switcher_bfs(a, 3)
         if found is not None:
             assert is_switcher(found, a).passed
+
+
+# -- the one scan against the two pair loops it replaced ---------------------------
+
+
+def _reference_switcher(b, a):
+    against = f"explicit set of {len(a)} elements"
+    elems = a.sorted_elements()
+    seen = {}
+    for a1 in elems:
+        a1b = multiply(a1, b)
+        for a2 in elems:
+            prod = multiply(a1b, a2)
+            if prod in a.elements:
+                return SwitcherReport(
+                    b, "switcher", False, "brute", against,
+                    witness=(a1, a2),
+                    reason=f"{encode(a1)}*b*{encode(a2)} lands back in A",
+                )
+            if prod in seen:
+                return SwitcherReport(
+                    b, "switcher", False, "brute", against,
+                    witness=(seen[prod], (a1, a2)),
+                    reason="two pairs give the same product a1*b*a2",
+                )
+            seen[prod] = (a1, a2)
+    return SwitcherReport(b, "switcher", True, "brute", against)
+
+
+def _reference_superswitcher(b, a):
+    against = f"explicit set of {len(a)} elements"
+    binv = inverse(b)
+    elems = a.sorted_elements()
+    seen = {}
+    for sign, bb in ((1, b), (-1, binv)):
+        for a1 in elems:
+            a1b = multiply(a1, bb)
+            for a2 in elems:
+                prod = multiply(a1b, a2)
+                if prod in a.elements:
+                    return SwitcherReport(
+                        b, "superswitcher", False, "brute", against,
+                        witness=(a1, sign, a2),
+                        reason=f"A meets A b^{sign} A",
+                    )
+                if prod in seen:
+                    p1, psign, p2 = seen[prod]
+                    if not (p1 == a1 and p2 == a2 and (psign == sign or b == binv)):
+                        return SwitcherReport(
+                            b, "superswitcher", False, "brute", against,
+                            witness=((p1, psign, p2), (a1, sign, a2)),
+                            reason="two triples give the same product a1*b^s*a2",
+                        )
+                else:
+                    seen[prod] = (a1, sign, a2)
+    return SwitcherReport(b, "superswitcher", True, "brute", against)
+
+
+def _scan_cases():
+    """(set, candidates) per group kind: random and symmetrized sets, and as
+    candidates the identity, a self-inverse element, ball elements and, for
+    lamplighter sets, the analytic switcher."""
+    rng = random.Random(14)
+    cases = []
+    for group, radius, involution in (
+        (LAMP, 2, LAMP_A),
+        (PRODUCT, 2, ProductElement(LAMP_A, E)),
+        (CONTROL, 2, None),
+    ):
+        ball = sorted(word_ball(group, radius), key=encode)
+        for size in (1, 2, 3, 5, 8):
+            for _ in range(3):
+                a = explicit(group, rng.sample(ball, size))
+                for a in (a, symmetrize(a)):
+                    candidates = [group.identity(), *rng.sample(ball, 6)]
+                    if involution is not None:
+                        candidates.append(involution)
+                    if group is LAMP:
+                        candidates.append(analytic_switcher(certify(a)))
+                    cases.append((a, candidates))
+    return cases
+
+
+def test_scan_equals_the_pair_loop_references():
+    outcomes = {"switcher": set(), "superswitcher": set()}
+    left_cursor_signs = set()
+    for a, candidates in _scan_cases():
+        for b in candidates:
+            for check, reference in (
+                (is_switcher, _reference_switcher),
+                (is_superswitcher, _reference_superswitcher),
+            ):
+                got, want = check(b, a), reference(b, a)
+                assert got == want, (b, sorted(a.elements, key=encode))
+                outcomes[got.kind].add((a.group.kind, want.passed, want.reason.split(" ")[-1]))
+                if b == inverse(b):
+                    outcomes[got.kind].add(("identity" if b == a.group.identity() else "involution",
+                                            want.passed))
+            if a.group.kind == "lamplighter":
+                for a1 in a.elements:
+                    for bb in (b, inverse(b)):
+                        t = multiply(a1, bb).cursor
+                        left_cursor_signs.add((t > 0) - (t < 0))
+    # every group kind passes and fails both ways: a product back in A and a collision
+    for kind, collision in (("switcher", "a1*b*a2"), ("superswitcher", "a1*b^s*a2")):
+        for group in ("lamplighter", "product", "abelian-control"):
+            assert (group, True, "") in outcomes[kind]
+            assert (group, False, "A") in outcomes[kind]
+            assert (group, False, collision) in outcomes[kind]
+        for b in ("identity", "involution"):
+            assert {(b, True), (b, False)} <= outcomes[kind]
+    assert left_cursor_signs == {-1, 0, 1}
+
+
+# -- the row kernel ------------------------------------------------------------------
+
+
+def test_row_kernel_equals_multiply():
+    rng = random.Random(15)
+
+    def element():
+        lo = rng.randrange(-12, 12)
+        return LamplighterElement(sorted(rng.sample(range(lo, lo + 8), rng.randrange(0, 5))),
+                                  rng.randrange(-6, 7))
+
+    shapes = set()
+    for _ in range(60):
+        rights = [element() for _ in range(rng.randrange(0, 10))]
+        row = _product_row(rights)
+        for _ in range(12):
+            left = element()
+            got, want = list(row(left)), [multiply(left, r) for r in rights]
+            assert got == want
+            assert [hash(x) for x in got] == [hash(x) for x in want]
+            for r in rights:
+                mine, theirs = left.lamps, tuple(p + left.cursor for p in r.lamps)
+                if not mine or not theirs:
+                    shapes.add("empty")
+                elif mine[-1] < theirs[0]:
+                    shapes.add("right of the left lamps")
+                elif theirs[-1] < mine[0]:
+                    shapes.add("left of the left lamps")
+                else:
+                    shapes.add("overlap")
+                shapes.add(("cursor", (left.cursor > 0) - (left.cursor < 0)))
+    assert shapes == {
+        "empty", "right of the left lamps", "left of the left lamps", "overlap",
+        ("cursor", -1), ("cursor", 0), ("cursor", 1),
+    }
+
+
+def test_row_kernel_multiplies_other_kinds():
+    for group, radius in ((PRODUCT, 1), (CONTROL, 2)):
+        ball = sorted(word_ball(group, radius), key=encode)
+        row = _product_row(ball)
+        for left in ball:
+            got = list(row(left))
+            assert got == [multiply(left, r) for r in ball]
+            assert all(type(x) is type(left) for x in got)
