@@ -32,7 +32,7 @@ from typing import Optional
 
 from .construction import Construction
 from .errors import MembershipError, OracleRangeError
-from .groups import ProductElement, encode, multiply
+from .groups import ProductElement, _lamp, _product_row, encode, multiply
 from .sampling import Trajectory
 from .setalg import BRUTE_BOX_CAP, certify_power
 
@@ -232,9 +232,18 @@ def _assert_window_membership(c: Construction, level: int, q1, m: int) -> None:
 
 @dataclass
 class _FactorMap:
-    values: dict              # element -> list of (slice_id, qa_idx, qb_idx)
+    # form -> entry codes (sid * |qa| + ia) * |qb| + ib, in build order; a form
+    # is stored as the plain (lamps, cursor) tuple the row kernel made, and
+    # leaves the index only rebuilt as an element
+    values: dict
     qa_list: list
     qb_list: list
+
+    def decode(self, code: int) -> tuple:
+        """The (slice id, qa index, qb index) of an entry code."""
+        rest, ib = divmod(code, len(self.qb_list))
+        sid, ia = divmod(rest, len(self.qa_list))
+        return sid, ia, ib
 
 
 class WindowIndex:
@@ -267,13 +276,20 @@ class WindowIndex:
 
     @staticmethod
     def _build_factor(mids, qa_list, qb_list) -> _FactorMap:
-        """Index q1 * mid * q2 of one factor by slice id and q-choices."""
+        """Index q1 * mid * q2 of one factor by slice id and q-choices.
+
+        ``left = qa * mid`` is formed once per (slice, qa); groups' row kernel
+        multiplies it by every qb, shifting qb's lamps once per distinct left
+        cursor.
+        """
         values = {}
+        setdefault = values.setdefault
+        row = _product_row(qb_list)
+        na, nb = len(qa_list), len(qb_list)
         for sid, mid in enumerate(mids):
             for ia, qa in enumerate(qa_list):
-                left = multiply(qa, mid)
-                for ib, qb in enumerate(qb_list):
-                    values.setdefault(multiply(left, qb), []).append((sid, ia, ib))
+                for code, form in enumerate(row(multiply(qa, mid)), (sid * na + ia) * nb):
+                    setdefault(form, []).append(code)
         return _FactorMap(values, qa_list, qb_list)
 
     # -- queries --
@@ -281,25 +297,28 @@ class WindowIndex:
     def decompositions(self, g: ProductElement) -> list[Decomposition]:
         if not isinstance(g, ProductElement):
             return []
-        c1 = self.factors[0].values.get(g.left)
-        c2 = self.factors[1].values.get(g.right)
+        f1, f2 = self.factors
+        c1 = f1.values.get(g.left)
+        c2 = f2.values.get(g.right)
         if not c1 or not c2:
             return []
         by_slice = {}
-        for sid, ia, ib in c1:
+        for code in c1:
+            sid, ia, ib = f1.decode(code)
             by_slice.setdefault(sid, []).append((ia, ib))
         out = []
-        for sid, ia2, ib2 in c2:
+        for code in c2:
+            sid, ia2, ib2 = f2.decode(code)
             for ia1, ib1 in by_slice.get(sid, ()):
                 i1, i2, s = self.slices[sid]
                 out.append(
                     Decomposition(
                         self.level,
                         None,
-                        ProductElement(self.factors[0].qa_list[ia1], self.factors[1].qa_list[ia2]),
+                        ProductElement(f1.qa_list[ia1], f2.qa_list[ia2]),
                         self.fs[i1],
                         self.fs[i2],
-                        ProductElement(self.factors[0].qb_list[ib1], self.factors[1].qb_list[ib2]),
+                        ProductElement(f1.qb_list[ib1], f2.qb_list[ib2]),
                         s,
                     )
                 )
@@ -319,17 +338,19 @@ class WindowIndex:
         pair_witnesses = []
         cross = [set(), set()]
         for fi, fm in enumerate(self.factors):
-            for g, entries in fm.values.items():
-                if len(entries) == 1:
+            block = len(fm.qa_list) * len(fm.qb_list)  # codes per slice
+            for g, codes in fm.values.items():
+                if len(codes) == 1:
                     continue
-                sids = sorted({sid for sid, _, _ in entries})
-                if len(sids) < len(entries):  # a slice repeats: group its q-choices
+                sids = sorted({code // block for code in codes})
+                if len(sids) < len(codes):  # a slice repeats: group its q-choices
                     per_slice = {}
-                    for sid, ia, ib in entries:
+                    for code in codes:
+                        sid, ia, ib = fm.decode(code)
                         per_slice.setdefault(sid, []).append((ia, ib))
                     for sid, qs in per_slice.items():
                         if len(qs) > 1:
-                            pair_witnesses.append((g, sid, qs[:2]))
+                            pair_witnesses.append((_lamp(*g), sid, qs[:2]))
                 if len(sids) > 1:
                     cross[fi].update(itertools.combinations(sids, 2))
             if pair_witnesses:
@@ -343,13 +364,17 @@ class WindowIndex:
         """Joint window forms, one per (slice, q-choice) tuple combination."""
         count = 0
         f0, f1 = self.factors
+        block0 = len(f0.qa_list) * len(f0.qb_list)
+        block1 = len(f1.qa_list) * len(f1.qb_list)
         rev = {}
-        for g2, entries in f1.values.items():
-            for sid, _, _ in entries:
-                rev.setdefault(sid, []).append(g2)
-        for g1, entries in f0.values.items():
-            for sid, _, _ in entries:
-                for g2 in rev.get(sid, ()):
+        for g2, codes in f1.values.items():
+            g2 = _lamp(*g2)
+            for code in codes:
+                rev.setdefault(code // block1, []).append(g2)
+        for g1, codes in f0.values.items():
+            g1 = _lamp(*g1)
+            for code in codes:
+                for g2 in rev.get(code // block0, ()):
                     yield ProductElement(g1, g2)
                     count += 1
                     if limit is not None and count >= limit:

@@ -24,8 +24,9 @@ Two schedules exist:
   ratio is recorded instead of enforced.
 
 Levels are deterministic given the recipe: the mode, the schedule, the two
-``Config`` fields a caller sets (the mini box cap and whether to brute-verify)
-and the fixed caps below.  Two builds agree byte for byte, so a saved file
+``Config`` fields a caller sets (the mini box cap and whether to brute-verify;
+a paper construction, whose build reads neither, holds their defaults) and the
+fixed caps below.  Two builds agree byte for byte, so a saved file
 holds only that recipe, the level count and the sha256 of the canonical body,
 and loading rebuilds the levels.  What the construction knows of each A(j,i)
 is stored once, as the ``AState`` that ``a_state(j, i)`` returns.
@@ -192,7 +193,8 @@ class Construction:
             raise ValueError(f"unknown schedule {schedule!r}")
         self.mode = mode
         self.schedule = schedule
-        self.config = config or Config()
+        # the paper build reads neither field, so its recipe records the defaults
+        self.config = (config or Config()) if schedule == "mini" else Config()
         if schedule == "mini" and not 1 <= self.config.mini_box_cap <= MINI_BOX_MAX:
             raise ValueError(f"mini box cap must be in 1..{MINI_BOX_MAX}")
         self.factor_group = lamplighter_group()
@@ -536,6 +538,8 @@ class Construction:
             cfg = Config(brute_verify=header["brute-verify"] == "yes",
                          mini_box_cap=int(header["mini-box-cap"]))
             out = cls(header["mode"], header["schedule"], replace(cfg, brute_verify=False))
+            if out.schedule == "paper":
+                cfg = out.config  # a paper recipe names the defaults; other values are refused below
             levels, recorded = int(header["levels"]), header["construction-sha256"]
         except KeyError as exc:
             raise CorruptFileError(f"bad header: missing field {exc}") from None

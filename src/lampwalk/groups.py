@@ -108,8 +108,9 @@ class LamplighterElement(_TupleElement):
 
 
 def _product_row(rights: list) -> Callable[[Element], Iterable]:
-    """Row kernel of the brute switcher scan: ``row(left)`` yields ``left * r``
-    for every r of ``rights``, in order.
+    """Row kernel: ``row(left)`` yields ``left * r`` for every r of ``rights``,
+    in order.  Its callers are the brute switcher scan (``switchers._scan``)
+    and the window index build (``analysis.WindowIndex._build_factor``).
 
     Lamplighter rows repeat ``__mul__`` on plain ``(lamps, cursor)`` tuples,
     which equal and hash like the elements (see the module docstring); the

@@ -26,7 +26,9 @@ from lampwalk.analysis import (
 from lampwalk.construction import Construction
 from lampwalk.groups import (
     LAMP_A,
+    LamplighterElement,
     ProductElement,
+    encode,
     lamplighter_group,
     multiply,
     product_group,
@@ -338,29 +340,100 @@ def test_unique_decomposition_and_disjointness(fixture, request):
     assert not any(g in w2 for g in w1.iter_elements())
 
 
+def _reference_factor(mids, qa_list, qb_list) -> dict:
+    """The element-by-element build: form -> [(slice id, qa index, qb index)]."""
+    values = {}
+    for sid, mid in enumerate(mids):
+        for ia, qa in enumerate(qa_list):
+            left = multiply(qa, mid)
+            for ib, qb in enumerate(qb_list):
+                values.setdefault(multiply(left, qb), []).append((sid, ia, ib))
+    return values
+
+
+@pytest.mark.parametrize("fixture", ["mini_asym", "mini_sym"])
+def test_window_index_matches_the_elementwise_build(fixture, request):
+    c = request.getfixturevalue(fixture)
+    oracle = WindowOracle(c)
+    for level in (1, 2):
+        lv = c.level(level)
+        for prime in (False, True):
+            index = oracle.index(level, prime)
+            mids = [lv.blue_increment(index.fs[i1], index.fs[i2], s) for i1, i2, s in index.slices]
+            for j, fm in enumerate(index.factors):
+                ref = _reference_factor([x[j] for x in mids], fm.qa_list, fm.qb_list)
+                assert fm.values.keys() == ref.keys()
+                for g, entries in ref.items():
+                    assert [fm.decode(code) for code in fm.values[g]] == entries
+
+
+def _is_element(g) -> bool:
+    if type(g) is ProductElement:
+        return all(type(x) is LamplighterElement for x in g)
+    return type(g) is LamplighterElement
+
+
+@pytest.mark.parametrize("fixture", ["mini_asym_small", "mini_sym_small"])
+def test_only_elements_leave_the_window_index(fixture, request):
+    # the index stores forms as plain (lamps, cursor) tuples; each one it
+    # hands out is rebuilt as an element, which encode accepts
+    index = WindowOracle(request.getfixturevalue(fixture)).index(2, prime=True)
+    forms = list(index.iter_elements(limit=20_000))  # all 2500 of mini_asym_small
+    assert forms and all(_is_element(g) for g in forms)
+    for g in forms[::len(forms) // 500 + 1]:
+        encode(g)
+        decs = index.decompositions(g)
+        assert decs
+        for d in decs:
+            for part in (d.q1, d.f1, d.f2, d.q2):
+                assert _is_element(part)
+                encode(part)
+    # a planted same-slice collision on a real form: its witness key is an element
+    key = next(iter(index.factors[0].values))
+    ok, witnesses = _planted(index, {key: [(0, 0, 0), (0, 1, 0)]}, {}).certify_unique()
+    assert not ok and witnesses[0][0] == key
+    assert _is_element(witnesses[0][0])
+    encode(witnesses[0][0])
+
+
 def _planted(index, values1, values2):
-    """A copy of ``index`` whose two factor maps hold the given entries."""
+    """A copy of ``index`` whose two factor maps hold the given (slice id, qa
+    index, qb index) entries, written as the int codes a build stores, over
+    three qa and three qb choices."""
     planted = copy.copy(index)
-    planted.factors = [analysis._FactorMap(v, [], []) for v in (values1, values2)]
+    qs = [LAMP_A] * 3
+    planted.factors = [
+        analysis._FactorMap(
+            {g: [(sid * len(qs) + ia) * len(qs) + ib for sid, ia, ib in entries]
+             for g, entries in values.items()},
+            qs,
+            qs,
+        )
+        for values in (values1, values2)
+    ]
     return planted
+
+
+# planted forms: plain (lamps, cursor) tuples, as a build stores them
+G, H, K, M, X, Y, Z = (((), t) for t in range(7))
 
 
 def test_certify_unique_reports_planted_collisions(mini_asym_small):
     index = WindowOracle(mini_asym_small).index(1)
     assert index.certify_unique() == (True, [])
     # a form reached twice inside slice 0 of factor 1; its first two q-choices are the witness
-    same = {"g": [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 2, 2)], "h": [(2, 0, 0)]}
-    assert _planted(index, same, {}).certify_unique() == (False, [("g", 0, [(0, 0), (1, 0)])])
+    same = {G: [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 2, 2)], H: [(2, 0, 0)]}
+    assert _planted(index, same, {}).certify_unique() == (False, [(G, 0, [(0, 0), (1, 0)])])
     # factor 2's same-slice collisions count only when factor 1 has none
-    other = {"x": [(4, 0, 1), (4, 1, 1)]}
-    assert _planted(index, same, other).certify_unique() == (False, [("g", 0, [(0, 0), (1, 0)])])
-    assert _planted(index, {}, other).certify_unique() == (False, [("x", 4, [(0, 1), (1, 1)])])
+    other = {X: [(4, 0, 1), (4, 1, 1)]}
+    assert _planted(index, same, other).certify_unique() == (False, [(G, 0, [(0, 0), (1, 0)])])
+    assert _planted(index, {}, other).certify_unique() == (False, [(X, 4, [(0, 1), (1, 1)])])
     # slices 0 and 3, and 1 and 5, meet in both factors: sorted slice pairs
-    f1 = {"g": [(3, 0, 0), (0, 0, 0)], "k": [(5, 0, 0), (1, 0, 0), (3, 1, 1)], "m": [(2, 0, 0)]}
-    f2 = {"x": [(0, 0, 0), (3, 0, 0)], "y": [(1, 0, 0), (5, 0, 0)], "z": [(2, 1, 0), (4, 0, 0)]}
+    f1 = {G: [(3, 0, 0), (0, 0, 0)], K: [(5, 0, 0), (1, 0, 0), (3, 1, 1)], M: [(2, 0, 0)]}
+    f2 = {X: [(0, 0, 0), (3, 0, 0)], Y: [(1, 0, 0), (5, 0, 0)], Z: [(2, 1, 0), (4, 0, 0)]}
     assert _planted(index, f1, f2).certify_unique() == (False, [(0, 3), (1, 5)])
     # slices that meet in one factor only are no collision
-    assert _planted(index, f1, {"z": [(2, 1, 0), (4, 0, 0)]}).certify_unique() == (True, [])
+    assert _planted(index, f1, {Z: [(2, 1, 0), (4, 0, 0)]}).certify_unique() == (True, [])
 
 
 def test_identity_has_no_decomposition(mini_asym):

@@ -276,6 +276,35 @@ def test_bad_header_value_rejected(tmp_path, mini_asym, old, new):
         Construction.load(path)
 
 
+def test_paper_digest_ignores_the_mini_settings():
+    # the paper build reads neither Config field, so its recipe names the defaults
+    digests = set()
+    for cfg in (Config(), Config(brute_verify=False), Config(mini_box_cap=7)):
+        c = Construction("asymmetric", "paper", cfg)
+        c.build_to(1)
+        assert c.config == Config()
+        digests.add(c.digest())
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("old, new", [
+    ("brute-verify: yes", "brute-verify: no"),
+    ("mini-box-cap: 2", "mini-box-cap: 1"),
+    ("mini-box-cap: 2", "mini-box-cap: 7"),
+    ("mini-box-cap: 2", "mini-box-cap: x"),
+])
+def test_paper_file_with_other_mini_settings_rejected(tmp_path, old, new):
+    c = Construction("asymmetric", "paper")
+    c.build_to(1)
+    path = tmp_path / "p.lwc"
+    c.save(path)
+    assert Construction.load(path).config == Config()
+    body = path.read_text().rsplit("sha256: ", 1)[0].replace(old, new, 1)
+    path.write_text(body + f"sha256: {hashlib.sha256(body.encode()).hexdigest()}\n")
+    with pytest.raises(CorruptFileError, match="bad header"):
+        Construction.load(path)
+
+
 # sha256 of the canonical body of each build, keyed (mode, schedule, mini box
 # cap, brute verify, levels); the benchmark pins only its own build, so these
 # make a change to the body writer or to any build step fail here
