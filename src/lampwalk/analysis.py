@@ -342,6 +342,11 @@ class WindowIndex:
             for g, codes in fm.values.items():
                 if len(codes) == 1:
                     continue
+                if len(codes) == 2:  # most forms: one slice pair, no set or sort
+                    sa, sb = codes[0] // block, codes[1] // block
+                    if sa != sb:
+                        cross[fi].add((sa, sb) if sa < sb else (sb, sa))
+                        continue
                 sids = sorted({code // block for code in codes})
                 if len(sids) < len(codes):  # a slice repeats: group its q-choices
                     per_slice = {}

@@ -31,6 +31,7 @@ from .sampling import (
 from .setalg import read_set
 from .switchers import is_superswitcher, is_switcher
 from .tvbound import (
+    DEFAULT_TV_TRUNCATION,
     _buildable_goal,
     certified_marginal_bound,
     exact_marginal,
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "one quoted argument to pass encodings starting with '-'")
     p.add_argument("--factor", type=int, choices=[1, 2], default=1)
     p.add_argument("--n-grid", default="10,100,1000")
-    p.add_argument("--truncation-level", type=int, default=30)
+    p.add_argument("--truncation-level", type=int, default=DEFAULT_TV_TRUNCATION)
     p.add_argument("--oracle", action="store_true", help="add exact TV where feasible")
     p.add_argument("--oracle-n-cap", type=int, default=4)
     p.add_argument("--out", required=True)

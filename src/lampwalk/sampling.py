@@ -12,6 +12,12 @@ with sigma = +1 always in asymmetric mode.  Each marginal of a blue step is
 f b1 s b2 with f, s independent and uniform on the level box, while the pair
 stays coupled.
 
+The law of K is one flat cumulative ``array('d')`` of 8 bytes per level (the
+default truncation I = 10**6 keeps 8 MB), built with the floats of the
+plain list formula, so every table entry and every draw is bit-identical to
+that formula's.  A k-draw bisects a list of the first ``_HEAD`` entries and
+goes on into the array only past them; see ``KDistribution``.
+
 Element materialization is capped: steps whose level exceeds the cap keep
 exact (k, y, sigma) metadata but no group element, since deep-level boxes are
 not materializable at desk scale.  Partial products are available up to the
@@ -27,6 +33,8 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import struct
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -39,33 +47,66 @@ from .setalg import ORACLE_BOX_CAP
 
 DEFAULT_EXPONENT = 1.25
 DEFAULT_TRUNCATION = 1_000_000
+# Draws bisect a list of the first _HEAD cumulative values (most draws end
+# there) before the array; the build converts _CHUNK levels at a time.
+_HEAD = 4096
+_CHUNK = 4096
 
 
 class KDistribution:
-    """Truncated power-law level distribution with inversion sampling."""
+    """Truncated power-law level distribution with inversion sampling.
+
+    The law is stored as one ``array('d')`` of cumulative probabilities,
+    8 bytes per level, with the last entry forced to 1.0.  It is built with
+    the floats of the list formula: the weights ``k ** -exponent``, their
+    ``math.fsum`` as ``normalizer``, each ``w / normalizer``, and a
+    left-to-right running sum.  The array is filled ``_CHUNK`` levels at a
+    time, first with the weights and then, in place, with the sums, so the
+    build also peaks near 8 bytes per level.  ``pmf`` and ``pmf_vector`` redo
+    the same two operations on demand and return the same floats.
+
+    A draw bisects ``_head``, a plain list of the first ``_HEAD`` cumulative
+    values, and the array from ``_HEAD`` on only when u lies past them.  The
+    table is non-decreasing, so this is exactly ``bisect_right`` over the
+    whole table, and the sampled streams are unchanged.
+    """
 
     def __init__(self, truncation: int = DEFAULT_TRUNCATION, exponent: float = DEFAULT_EXPONENT):
         if truncation < 1:
             raise ValueError("truncation level must be >= 1")
         self.truncation = truncation
         self.exponent = exponent
-        weights = [k ** -exponent for k in range(1, truncation + 1)]
-        self.normalizer = math.fsum(weights)
-        self._pmf = [w / self.normalizer for w in weights]
-        del weights  # freed before the cumulative table: two float tables at peak, not three
-        self._cum = list(accumulate(self._pmf))
-        self._cum[-1] = 1.0
+        # struct packs a list of floats into the array's doubles faster than
+        # array.fromlist or slice assignment does
+        cum = array("d")
+        for lo in range(1, truncation + 1, _CHUNK):
+            weights = [k ** -exponent for k in range(lo, min(lo + _CHUNK, truncation + 1))]
+            cum.frombytes(struct.pack(f"{len(weights)}d", *weights))
+        self.normalizer = normalizer = math.fsum(cum)
+        total = 0.0
+        for lo in range(0, truncation, _CHUNK):
+            sums = list(accumulate([w / normalizer for w in cum[lo:lo + _CHUNK]], initial=total))
+            del sums[0]
+            total = sums[-1]
+            struct.pack_into(f"{len(sums)}d", cum, lo * cum.itemsize, *sums)
+        cum[-1] = 1.0
+        self._cum = cum
+        self._head = cum[:_HEAD].tolist()
 
     def pmf(self, k: int) -> float:
         if 1 <= k <= self.truncation:
-            return self._pmf[k - 1]
+            return k ** -self.exponent / self.normalizer
         return 0.0
 
     def pmf_vector(self) -> list[float]:
-        return list(self._pmf)
+        return [k ** -self.exponent / self.normalizer for k in range(1, self.truncation + 1)]
 
     def sample(self, rng) -> int:
-        return bisect.bisect_right(self._cum, rng.random()) + 1
+        u = rng.random()
+        i = bisect.bisect_right(self._head, u)
+        if i == _HEAD:
+            i = bisect.bisect_right(self._cum, u, _HEAD)
+        return i + 1
 
 
 def _is_red(k: int, getrandbits) -> bool:
@@ -230,10 +271,14 @@ def walk(
     symmetric = c.mode == "symmetric"
     ks, red, elements, zs = [], bytearray(), {}, []
     neg = bytearray() if symmetric else None
-    cum, random, getrandbits = kdist._cum, rng.random, rng.getrandbits
+    cum, head, random, getrandbits = kdist._cum, kdist._head, rng.random, rng.getrandbits
     bisect_right = bisect.bisect_right
     for i in range(horizon):
-        k = bisect_right(cum, random()) + 1
+        u = random()
+        k = bisect_right(head, u)  # KDistribution.sample inline: a call per step is slower
+        if k == _HEAD:
+            k = bisect_right(cum, u, _HEAD)
+        k += 1
         is_red = _is_red(k, getrandbits)
         ks.append(k)
         red.append(is_red)

@@ -47,6 +47,8 @@ from .setalg import (
 )
 
 DEFAULT_PMF_CAP = 200_000
+# the truncation level of certified_marginal_bound without a kdist, and of `lampwalk tv`
+DEFAULT_TV_TRUNCATION = 30
 
 # below any reported tolerance, above the true tail bound (1/k divided by a
 # set cardinality that is at least |box|^2 >= 2^90 from any built level on)
@@ -227,10 +229,12 @@ def certified_marginal_bound(
     The bound reads ``c`` and never builds: levels past ``max_built`` take
     the schedule's tail loss, and memberships consult the built cores.  Build
     to ``_buildable_goal(c, I)`` first for the sharp bound the CLI reports.
+    Without ``kdist`` the level law is truncated at ``DEFAULT_TV_TRUNCATION``,
+    as in ``lampwalk tv``.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    kdist = kdist or KDistribution()
+    kdist = kdist or KDistribution(DEFAULT_TV_TRUNCATION)
     trunc = kdist.truncation
     if trunc > 4096:
         raise OracleRangeError(f"truncation level {trunc} is past the record DP's cap of 4096")

@@ -1,6 +1,7 @@
 """Record analytics, window decompositions, tails, and freeness."""
 
 import copy
+import itertools
 import random
 
 import pytest
@@ -414,6 +415,34 @@ def _planted(index, values1, values2):
     return planted
 
 
+def _reference_certify_unique(index):
+    """``certify_unique`` with one set, sort and pair loop per multi-entry form."""
+    pair_witnesses = []
+    cross = [set(), set()]
+    for fi, fm in enumerate(index.factors):
+        block = len(fm.qa_list) * len(fm.qb_list)
+        for g, codes in fm.values.items():
+            if len(codes) == 1:
+                continue
+            sids = sorted({code // block for code in codes})
+            if len(sids) < len(codes):
+                per_slice = {}
+                for code in codes:
+                    sid, ia, ib = fm.decode(code)
+                    per_slice.setdefault(sid, []).append((ia, ib))
+                for sid, qs in per_slice.items():
+                    if len(qs) > 1:
+                        pair_witnesses.append((analysis._lamp(*g), sid, qs[:2]))
+            if len(sids) > 1:
+                cross[fi].update(itertools.combinations(sids, 2))
+        if pair_witnesses:
+            return False, pair_witnesses
+    both = cross[0] & cross[1]
+    if both:
+        return False, sorted(both)
+    return True, []
+
+
 # planted forms: plain (lamps, cursor) tuples, as a build stores them
 G, H, K, M, X, Y, Z = (((), t) for t in range(7))
 
@@ -434,6 +463,22 @@ def test_certify_unique_reports_planted_collisions(mini_asym_small):
     assert _planted(index, f1, f2).certify_unique() == (False, [(0, 3), (1, 5)])
     # slices that meet in one factor only are no collision
     assert _planted(index, f1, {Z: [(2, 1, 0), (4, 0, 0)]}).certify_unique() == (True, [])
+
+
+def test_certify_unique_matches_the_reference_loop(mini_sym, mini_asym_small):
+    oracle = WindowOracle(mini_sym)
+    for level in (1, 2):
+        for prime in (False, True):
+            index = oracle.index(level, prime)
+            assert index.certify_unique() == _reference_certify_unique(index) == (True, [])
+    index = WindowOracle(mini_asym_small).index(1)
+    same = {G: [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 2, 2)], H: [(2, 0, 0)], K: [(1, 1, 0), (1, 2, 1)]}
+    f1 = {G: [(3, 0, 0), (0, 0, 0)], K: [(5, 0, 0), (1, 0, 0), (3, 1, 1)], M: [(2, 0, 0)]}
+    f2 = {X: [(0, 0, 0), (3, 0, 0)], Y: [(1, 0, 0), (5, 0, 0)], Z: [(2, 1, 0), (4, 0, 0)]}
+    pair = {X: [(6, 2, 2), (6, 0, 1)], Y: [(4, 0, 0), (1, 1, 1)]}
+    for values1, values2 in ((same, {}), ({}, pair), (f1, f2), (f2, f1), (f1, pair), (pair, f2)):
+        planted = _planted(index, values1, values2)
+        assert planted.certify_unique() == _reference_certify_unique(planted)
 
 
 def test_identity_has_no_decomposition(mini_asym):

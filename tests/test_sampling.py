@@ -1,10 +1,12 @@
 """Coupled sampling: level law, color coupling, increments, exact pmf oracle."""
 
+import bisect
 import csv
 import dataclasses
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +15,7 @@ from lampwalk.construction import Config, Construction
 from lampwalk.errors import CorruptFileError
 from lampwalk.groups import LamplighterElement, ProductElement, encode, inverse, multiply
 from lampwalk.sampling import (
+    _HEAD,
     TRAJECTORY_COLUMNS,
     CoupledStep,
     KDistribution,
@@ -53,7 +56,53 @@ def test_tables_match_the_list_formula():
         assert kd.normalizer == normalizer
         assert kd.pmf_vector() == pmf
         assert [kd.pmf(k) for k in range(0, truncation + 2)] == [0.0, *pmf, 0.0]
-        assert kd._cum == cum
+        assert list(kd._cum) == cum
+
+
+class _FixedUniforms(random.Random):
+    """A Random whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, us):
+        super().__init__(0)
+        self._us = iter(us)
+
+    def random(self):
+        return next(self._us)
+
+
+@pytest.mark.parametrize("truncation", [1, 7, _HEAD - 1, _HEAD, _HEAD + 1, 10**5])
+def test_two_step_draw_is_the_full_table_bisect(truncation, mini_asym):
+    kd = KDistribution(truncation)
+    cum = list(kd._cum)
+    edge = cum[min(truncation, _HEAD) - 1]  # the last value in the head
+    us = [0.0, edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0)]
+    rng = random.Random(truncation)
+    us += [rng.random() for _ in range(10**5)]
+    expected = [bisect.bisect_right(cum, u) + 1 for u in us]
+    if truncation > _HEAD:  # the planted values fall on both sides of the head's end
+        assert expected[:4] == [1, _HEAD + 1, _HEAD, _HEAD + 1]
+    assert walk(mini_asym, len(us), _FixedUniforms(us), kd, x_level_cap=0).k == expected
+    draws = _FixedUniforms(us)
+    assert [kd.sample(draws) for _ in us] == expected
+
+
+def test_level_law_footprint():
+    # 8 bytes per level for the cumulative array, up to 1/16 more for the
+    # array's over-allocation, and the fixed 4096-entry head list (0.7 bytes
+    # per level here): at most 10 retained.  The build overwrites its weights
+    # array with the sums, so it peaks near that plus one chunk; 20 leaves
+    # room for a second array but not for a list of floats, which costs 32
+    # bytes per level.
+    levels = 2 * 10**5
+    tracemalloc.start()
+    try:
+        kd = KDistribution(levels)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kd.truncation == levels
+    assert retained <= 10 * levels
+    assert peak <= 20 * levels
 
 
 def test_pmf_monotone_and_normalized():
@@ -112,8 +161,9 @@ def test_walk_partial_products_recompute(mini_asym):
 def reference_walk(c, horizon, rng, kdist, cap):
     """Steps and partial products drawn one step at a time, in the sampler's order."""
     steps, zs = [], []
+    cum = list(kdist._cum)
     for _ in range(horizon):
-        k = kdist.sample(rng)
+        k = bisect.bisect_right(cum, rng.random()) + 1
         y = sample_y(k, rng)
         sigma = (1 if rng.getrandbits(1) else -1) if c.mode == "symmetric" else 1
         f1 = f2 = x = None

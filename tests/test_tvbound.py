@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from lampwalk.cli import build_parser
 from lampwalk.construction import Config, Construction
 from lampwalk.errors import SizeCapError
 from lampwalk.groups import (
@@ -20,6 +21,7 @@ from lampwalk.groups import (
 from lampwalk.sampling import KDistribution, walk
 from lampwalk.setalg import SkewBox, certify
 from lampwalk.tvbound import (
+    DEFAULT_TV_TRUNCATION,
     SparsePMF,
     _buildable_goal,
     _level_loss,
@@ -190,6 +192,18 @@ def test_bound_sound_against_oracle_symmetric(mini_sym_small):
             marg = exact_marginal(mini_sym_small, 1, n, kd)
             exact = tv(translate(h, marg), marg)
             assert report.bound >= exact - 1e-9
+
+
+@pytest.mark.parametrize("fixture", ["mini_asym", "paper_asym"])
+def test_bound_without_kdist_truncates_as_the_tv_command(fixture, request):
+    # without a kdist the level law must fit the record DP's cap of 4096 levels
+    c = request.getfixturevalue(fixture)
+    assert DEFAULT_TV_TRUNCATION == 30
+    assert build_parser().parse_args(["tv", "c.lwc", "--out", "o.csv"]).truncation_level == 30
+    for h in (LAMP_A, decode("-1|")):
+        report = certified_marginal_bound(c, h, 100)
+        assert report == certified_marginal_bound(c, h, 100, kdist=KDistribution(30))
+        assert report.truncation == 30
 
 
 def test_bound_second_factor(paper_asym):
