@@ -122,6 +122,35 @@ def _int_or_none(text):
     return int(text)
 
 
+def _int_at_least(low: int):
+    """An argparse type for ints >= ``low``; a bad value exits 2 with an error line."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
+
+
+def _cap_text(text: str) -> str:
+    """A non-negative int or 'none', kept as given: manifests record the text."""
+    if text != "none":
+        _non_negative(text)
+    return text
+
+
+def _horizons(text: str) -> list:
+    """A comma-separated list of positive ints."""
+    return [_positive(t) for t in text.split(",")]
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -143,12 +172,13 @@ def cmd_build(args) -> int:
             f" folner={'certified' if level.folner_certified else 'recorded'}"
             f" ratio={'n/a' if ratio is None else f'{float(ratio):.6g}'}"
         )
+        table = {}  # both factors' equal integers are converted to text once
         for j in (1, 2):
             fl, st = level.factor(j), c.a_state(j, i)
             print(
                 f"  factor {j}: |core(A)|={st.core_len}"
                 f" cert=({st.cert.cursor_radius},{st.cert.lamp_radius})"
-                f" b1={_short(fl.b1)} b2={_short(fl.b2)} c={_short(fl.c)}"
+                f" b1={_short(fl.b1, table)} b2={_short(fl.b2, table)} c={_short(fl.c, table)}"
             )
     out = Path(args.out)
     construction_digest = c.save(out)
@@ -158,8 +188,8 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _short(g) -> str:
-    text = encode(g)
+def _short(g, table: dict) -> str:
+    text = encode(g, table)
     return text if len(text) <= 40 else text[:37] + "..."
 
 
@@ -207,7 +237,7 @@ def cmd_tv(args) -> int:
     c = Construction.load(args.construction)
     kdist = KDistribution(truncation=args.truncation_level)
     gens = _split_elements(args.generators) or DEFAULT_GENERATORS
-    grid = [int(x) for x in args.n_grid.split(",")]
+    grid = args.n_grid
     oracle_grid = [n for n in grid if args.oracle and n <= args.oracle_n_cap]
     # the oracle reads every level up to the truncation; the bound, its goal
     c.build_to(args.truncation_level if oracle_grid else _buildable_goal(c, args.truncation_level))
@@ -316,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="simulate coupled trajectories", parents=[common])
     p.add_argument("construction")
-    p.add_argument("--n-traj", type=int, default=10)
-    p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--truncation-level", type=int, default=1_000_000)
-    p.add_argument("--x-level-cap", default="0",
+    p.add_argument("--n-traj", type=_non_negative, default=10)
+    p.add_argument("--horizon", type=_positive, default=1000)
+    p.add_argument("--truncation-level", type=_positive, default=1_000_000)
+    p.add_argument("--x-level-cap", type=_cap_text, default="0",
                    help="materialize increments up to this level; 'none' = all")
     p.set_defaults(func=cmd_sample)
 
@@ -336,10 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encoded lamplighter elements; space-separate inside "
                         "one quoted argument to pass encodings starting with '-'")
     p.add_argument("--factor", type=int, choices=[1, 2], default=1)
-    p.add_argument("--n-grid", default="10,100,1000")
-    p.add_argument("--truncation-level", type=int, default=DEFAULT_TV_TRUNCATION)
+    p.add_argument("--n-grid", type=_horizons, default="10,100,1000",
+                   help="comma-separated horizons n")
+    p.add_argument("--truncation-level", type=_positive, default=DEFAULT_TV_TRUNCATION)
     p.add_argument("--oracle", action="store_true", help="add exact TV where feasible")
-    p.add_argument("--oracle-n-cap", type=int, default=4)
+    p.add_argument("--oracle-n-cap", type=_non_negative, default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tv)
 

@@ -30,6 +30,15 @@ fixed caps below.  Two builds agree byte for byte, so a saved file
 holds only that recipe, the level count and the sha256 of the canonical body,
 and loading rebuilds the levels.  What the construction knows of each A(j,i)
 is stored once, as the ``AState`` that ``a_state(j, i)`` returns.
+
+The two factors run the same recursion and differ only in c(j,i), which
+their window certificates absorb, so their A certificates are usually
+equal.  A level derives b1, b2 and the block certificate once per distinct
+A certificate; factors with equal certificates share those objects, and so
+the radii of the next certificates too.  ``digest()`` hashes the canonical
+body line by line as ``serialize()`` would write it, never holding it
+whole, and each level's lines convert their integers to text through one
+table, so an integer both factors hold is converted once.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from .groups import (
     LamplighterElement,
     LazyEnumeration,
     ProductElement,
+    _int_text,
     encode,
     inverse,
     lamplighter_group,
@@ -262,21 +272,19 @@ class Construction:
         pair = self.c_pair(i)
         cs = (pair.left, pair.right)
 
+        # b1, b2 and the block certificate depend on A(j,i) only through its
+        # certificate, so factors with equal certificates share one derivation
+        derived = {}
         factors = []
         next_states = []
         for idx, st in enumerate(states):
-            j = idx + 1
-            alphabet = certify_union(st.cert, box_cert_pm)  # A u S(+-) u F(+-)
-            c1 = certify_power(alphabet, e + 2)
-            b1 = analytic_switcher(c1)
-            b1_cert = certify(explicit(self.factor_group, [b1]))
-            if sym:
-                b1_cert = certify_symmetrize(b1_cert)
-            c2 = certify_power(certify_union(alphabet, b1_cert), 2 * e + 8)
-            b2 = analytic_switcher(c2)
+            shared = derived.get(st.cert)
+            if shared is None:
+                shared = derived[st.cert] = self._switchers(e, st.cert, box_cert, box_cert_pm)
+            b1, b2, block_cert = shared
             fl = FactorLevel(b1=b1, b2=b2, c=cs[idx])
             factors.append(fl)
-            next_states.append(self._advance_state(i, j, st, fl, box, box_cert))
+            next_states.append(self._advance_state(i, idx + 1, st, fl, box, block_cert))
 
         # the exact invariance ratio, when every A^p materializes
         ratio = None if None in powers else max(exact_union_loss(a, box) for a in powers)
@@ -329,17 +337,25 @@ class Construction:
             index[g] = len(self._core_lists[j - 1])
             self._core_lists[j - 1].append(g)
 
-    def _advance_state(self, i, j, st: AState, fl: FactorLevel,
-                       box: SkewBox, box_cert) -> AState:
+    def _switchers(self, e: int, a_cert: BoundCertificate, box_cert, box_cert_pm) -> tuple:
+        """(b1, b2, certificate of F b1 S b2 [F]^+-) for an A under ``a_cert``."""
         sym = self.mode == "symmetric"
-        b1_cert = certify(explicit(self.factor_group, [fl.b1]))
-        b2_cert = certify(explicit(self.factor_group, [fl.b2]))
+        alphabet = certify_union(a_cert, box_cert_pm)  # A u S(+-) u F(+-)
+        b1 = analytic_switcher(certify_power(alphabet, e + 2))
+        b1_cert = certify([b1])
+        b1_cert_pm = certify_symmetrize(b1_cert) if sym else b1_cert
+        b2 = analytic_switcher(certify_power(certify_union(alphabet, b1_cert_pm), 2 * e + 8))
         block_cert = certify_product(
-            certify_product(certify_product(box_cert, b1_cert), box_cert), b2_cert
+            certify_product(certify_product(box_cert, b1_cert), box_cert), certify([b2])
         )
         if sym:
             block_cert = certify_symmetrize(certify_product(block_cert, box_cert))
-        c_cert = certify(explicit(self.factor_group, [fl.c]))
+        return b1, b2, block_cert
+
+    def _advance_state(self, i, j, st: AState, fl: FactorLevel,
+                       box: SkewBox, block_cert: BoundCertificate) -> AState:
+        sym = self.mode == "symmetric"
+        c_cert = certify([fl.c])
         if sym:
             c_cert = certify_symmetrize(c_cert)
         cert = certify_union(st.cert, block_cert, c_cert)
@@ -475,8 +491,14 @@ class Construction:
     # -- persistence --------------------------------------------------------------
 
     def digest(self) -> str:
-        """sha256 of the canonical body ``serialize()`` writes; it names the construction."""
-        return self.serialize().rsplit("sha256: ", 1)[1].strip()
+        """sha256 of the canonical body ``serialize()`` writes; it names the construction.
+
+        The body is hashed line by line as it is written, never held whole.
+        """
+        h = hashlib.sha256()
+        for line in self._body_lines():
+            h.update(f"{line}\n".encode())
+        return h.hexdigest()
 
     def save(self, path) -> str:
         """Write the recipe and the canonical digest to ``path``; return the digest."""
@@ -488,37 +510,50 @@ class Construction:
 
     def serialize(self) -> str:
         """Canonical text of the recipe and every built level, sealed by its sha256."""
-        lines = [BODY_VERSION, *_recipe(self.mode, self.schedule, self.config, self.max_built)]
+        return _sealed(self._body_lines())
+
+    def _body_lines(self):
+        """Yield the lines of the canonical body, level by level.
+
+        Each level converts its integers to text through one table, so an
+        integer both factors hold is written out once.
+        """
+        yield BODY_VERSION
+        yield from _recipe(self.mode, self.schedule, self.config, self.max_built)
         for level in self.levels:
-            lines.append(f"[level {level.index}]")
-            lines.append(f"box: skewbox:{hex(level.n)}")
-            lines.append(f"folner-certified: {'yes' if level.folner_certified else 'no'}")
+            table = {}
+            yield f"[level {level.index}]"
+            yield f"box: skewbox:{hex(level.n)}"
+            yield f"folner-certified: {'yes' if level.folner_certified else 'no'}"
             r = level.folner_ratio
-            lines.append(f"folner-ratio: {'none' if r is None else f'{r.numerator}/{r.denominator}'}")
+            yield f"folner-ratio: {'none' if r is None else f'{r.numerator}/{r.denominator}'}"
             for j in (1, 2):
                 fl = level.factor(j)
-                lines.extend(self._a_lines(j, level.index, [
-                    f"b1: {encode(fl.b1)}", f"b2: {encode(fl.b2)}", f"c: {encode(fl.c)}",
-                ]))
-        lines.append("[next]")
+                yield from self._a_lines(j, level.index, table, [
+                    f"b1: {encode(fl.b1, table)}", f"b2: {encode(fl.b2, table)}",
+                    f"c: {encode(fl.c, table)}",
+                ])
+        yield "[next]"
+        table = {}
         for j in (1, 2):
-            lines.extend(self._a_lines(j, self.max_built + 1))
-        return _sealed(lines)
+            yield from self._a_lines(j, self.max_built + 1, table)
 
-    def _a_lines(self, j: int, i: int, extra=()) -> list:
+    def _a_lines(self, j: int, i: int, table: dict, extra=()) -> list:
         """The body's block of A(j,i): its state, ``extra``, then the core
-        entries it adds to A(j,i-1) (level 1 starts from {identity})."""
+        entries it adds to A(j,i-1) (level 1 starts from {identity}).
+        ``table`` caches the integer texts, as for ``encode``."""
         st = self.a_state(j, i)
         start = self.a_state(j, i - 1).core_len if i > 1 else 1
         added = self._core_lists[j - 1][start: st.core_len]
+        radii = (_int_text(st.cert.cursor_radius, table), _int_text(st.cert.lamp_radius, table))
         return [
             f"[factor {j}]",
-            f"a-cert: certificate:{st.cert.cursor_radius},{st.cert.lamp_radius}",
+            f"a-cert: certificate:{radii[0]},{radii[1]}",
             f"a-card: {'none' if st.card is None else hex(st.card)}",
             f"a-exact: {'yes' if st.exact else 'no'}",
             *extra,
             f"a-core-added: {len(added)}",
-            *map(encode, added),
+            *(encode(g, table) for g in added),
         ]
 
     @classmethod

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cli_env import cli_env
 
 CLI = [sys.executable, "-m", "lampwalk.cli"]
@@ -152,6 +154,38 @@ def test_build_rejects_bad_level(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sample", "m.lwc", "--horizon", "0"], "--horizon"),
+    (["sample", "m.lwc", "--truncation-level", "0"], "--truncation-level"),
+    (["sample", "m.lwc", "--x-level-cap", "-1"], "--x-level-cap"),
+    (["sample", "m.lwc", "--x-level-cap", "nine"], "--x-level-cap"),
+    (["sample", "m.lwc", "--n-traj", "-1"], "--n-traj"),
+    (["tv", "m.lwc", "--n-grid", "0", "--out", "tv.csv"], "--n-grid"),
+    (["tv", "m.lwc", "--n-grid", "10,-5", "--out", "tv.csv"], "--n-grid"),
+    (["tv", "m.lwc", "--truncation-level", "0", "--out", "tv.csv"], "--truncation-level"),
+    (["tv", "m.lwc", "--oracle-n-cap", "-1", "--out", "tv.csv"], "--oracle-n-cap"),
+])
+def test_bad_counts_are_argparse_errors(tmp_path, monkeypatch, capsys, argv, flag):
+    # rejected while parsing, before m.lwc (absent here) is opened
+    from lampwalk import cli
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err
+    assert "Traceback" not in err
+
+
+def test_cap_text_reaches_the_manifest_as_given():
+    from lampwalk import cli
+
+    for text in ("none", "0", "100"):
+        args = cli.build_parser().parse_args(["sample", "m.lwc", "--x-level-cap", text])
+        assert cli._effective_config(args)["x-level-cap"] == text
+
+
 def test_verify_switcher_subcommand(tmp_path):
     (tmp_path / "set.txt").write_text("0|\n0|0\n")
     passing = run(["verify-switcher", "set.txt", "2|1"], tmp_path)
@@ -246,17 +280,18 @@ def test_tv_manifest_names_the_loaded_file(tmp_path, monkeypatch):
 
 def test_only_build_and_verify_serialize(tmp_path, monkeypatch):
     # the CLI stamps the digest that save wrote or load read; re-serializing
-    # a 600-level construction just to hash it again was most of build's time
+    # a 600-level construction just to hash it again was most of build's time.
+    # digest() and serialize() both write the body through _body_lines
     from lampwalk.construction import Construction
 
     calls = []
-    serialize = Construction.serialize
+    body_lines = Construction._body_lines
 
     def counted(self):
         calls.append(self)
-        return serialize(self)
+        return body_lines(self)
 
-    monkeypatch.setattr(Construction, "serialize", counted)
+    monkeypatch.setattr(Construction, "_body_lines", counted)
     monkeypatch.chdir(tmp_path)
     stages = [
         (MINI_BUILD, 1),

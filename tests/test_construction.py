@@ -1,6 +1,8 @@
 """Level schedules: building, certificates, persistence, membership."""
 
 import hashlib
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,18 @@ from lampwalk.groups import (
     inverse,
     lamplighter_group,
 )
-from lampwalk.setalg import SkewBox, explicit, power_set
-from lampwalk.switchers import is_superswitcher, is_switcher
+from lampwalk.setalg import (
+    BoundCertificate,
+    SkewBox,
+    certify,
+    certify_power,
+    certify_product,
+    certify_symmetrize,
+    certify_union,
+    explicit,
+    power_set,
+)
+from lampwalk.switchers import analytic_switcher, is_superswitcher, is_switcher
 
 LAMP = lamplighter_group()
 E = LAMP.identity()
@@ -370,3 +382,94 @@ def test_shared_box_keeps_pairing_sizes(mini_sym):
     for i in (1, 2):
         lv = mini_sym.level(i)
         assert lv.box().size() == SkewBox(lv.n).size()
+
+
+def _reference_factor(c, i, a_cert, fl_c):
+    """Level i's b1, b2 and the certificate of A(j,i+1), derived for one
+    factor from its own A(j,i) certificate alone: the reference that the
+    shared derivation must match."""
+    sym = c.mode == "symmetric"
+    e = c.exponent_level(i)
+    box_cert = certify(SkewBox(c.level(i).n))
+    box_cert_pm = certify_symmetrize(box_cert) if sym else box_cert
+    alphabet = certify_union(a_cert, box_cert_pm)
+    b1 = analytic_switcher(certify_power(alphabet, e + 2))
+    b1_cert = certify(explicit(LAMP, [b1]))
+    if sym:
+        b1_cert = certify_symmetrize(b1_cert)
+    b2 = analytic_switcher(certify_power(certify_union(alphabet, b1_cert), 2 * e + 8))
+    block_cert = certify_product(
+        certify_product(certify_product(box_cert, certify(explicit(LAMP, [b1]))), box_cert),
+        certify(explicit(LAMP, [b2])),
+    )
+    if sym:
+        block_cert = certify_symmetrize(certify_product(block_cert, box_cert))
+    c_cert = certify(explicit(LAMP, [fl_c]))
+    if sym:
+        c_cert = certify_symmetrize(c_cert)
+    return b1, b2, certify_union(a_cert, block_cert, c_cert)
+
+
+def _assert_matches_reference(c, i):
+    for j in (1, 2):
+        fl = c.level(i).factor(j)
+        want = _reference_factor(c, i, c.a_state(j, i).cert, fl.c)
+        assert (fl.b1, fl.b2, c.a_state(j, i + 1).cert) == want, (i, j)
+
+
+def test_factors_with_equal_certificates_share_switchers(mini_asym, mini_sym, paper_asym):
+    for c in (mini_asym, mini_sym, paper_asym):
+        for lv in c.levels:
+            assert c.a_state(1, lv.index).cert == c.a_state(2, lv.index).cert
+            assert lv.factor(1).b1 is lv.factor(2).b1
+            assert lv.factor(1).b2 is lv.factor(2).b2
+            _assert_matches_reference(c, lv.index)
+
+
+@pytest.mark.parametrize("mode", ["asymmetric", "symmetric"])
+def test_factors_with_unequal_certificates_derive_their_own(mode):
+    c = Construction(mode, "mini", Config(brute_verify=False))
+    c.build_to(3)
+    # plant a factor-2 A(2,4) under a larger certificate than A(1,4)'s
+    st1, st2 = c._a_states[-1]
+    big = BoundCertificate(st2.cert.cursor_radius + 7, st2.cert.lamp_radius + 3)
+    c._a_states[-1] = (st1, replace(st2, cert=big))
+    lv = c.build_level(4)
+    assert lv.factor(1).b1 != lv.factor(2).b1
+    assert lv.factor(1).b2 != lv.factor(2).b2
+    _assert_matches_reference(c, 4)
+    c.build_level(5)
+    _assert_matches_reference(c, 5)
+
+
+def test_shared_radii_halve_what_a_deep_build_retains():
+    # both factors hold one copy of each b1, b2 and A-certificate radius;
+    # two copies of these ints, which grow ~9.4 bits a level, retained 9.7 MB
+    tracemalloc.start()
+    try:
+        c = Construction("asymmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+        c.build_to(1000)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 7.5e6
+    st1, st2 = c.a_state(1, 1001), c.a_state(2, 1001)
+    assert st1.cert.cursor_radius is st2.cert.cursor_radius
+    assert st1.cert.lamp_radius is st2.cert.lamp_radius
+
+
+def test_digest_streams_the_body():
+    # the 600-level body is 2.1 MB of text; hashing it whole peaked at 19.6 MB
+    c = Construction("asymmetric", "mini", Config(mini_box_cap=1))
+    c.build_to(600)
+    tracemalloc.start()
+    try:
+        digest = c.digest()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert digest == PINNED_DIGESTS[("asymmetric", "mini", 1, True, 600)]
+    body, seal = c.serialize().rsplit("sha256: ", 1)
+    assert seal == f"{digest}\n"
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
