@@ -58,30 +58,23 @@ class Manifest:
     version: str = __version__
     timestamp: str = ""
 
-    def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "command": self.command,
-                "config": self.config,
-                "seed": self.seed,
-                "construction": self.construction_digest,
-                "version": self.version,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def write(self, path) -> str:
-        digest = self.digest()
-        payload = {
+    def _payload(self) -> dict:
+        """The fields the digest covers; the file adds the timestamp and digest."""
+        return {
             "command": self.command,
             "config": self.config,
             "seed": self.seed,
             "construction": self.construction_digest,
             "version": self.version,
-            "timestamp": self.timestamp,
-            "digest": digest,
         }
+
+    def digest(self) -> str:
+        payload = json.dumps(self._payload(), sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    def write(self, path) -> str:
+        digest = self.digest()
+        payload = {**self._payload(), "timestamp": self.timestamp, "digest": digest}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -165,10 +158,9 @@ def cmd_build(args) -> int:
     c = Construction(mode=args.mode, schedule=args.schedule, config=cfg)
     for i in range(1, args.max_level + 1):
         level = c.build_level(i)
-        n_text = str(level.n) if level.n.bit_length() <= 64 else f"2^~{level.n.bit_length() - 1}"
         ratio = level.folner_ratio
         print(
-            f"level {i}: box n={n_text} |F|=n*2^n"
+            f"level {i}: box n={_box_text(level.n)} |F|=n*2^n"
             f" folner={'certified' if level.folner_certified else 'recorded'}"
             f" ratio={'n/a' if ratio is None else f'{float(ratio):.6g}'}"
         )
@@ -186,6 +178,11 @@ def cmd_build(args) -> int:
     digest = manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
     print(f"saved {out} (construction {construction_digest[:12]}, manifest {digest[:12]})")
     return 0
+
+
+def _box_text(n: int) -> str:
+    """A box parameter in decimal up to 64 bits, past that as ~2^(bit length - 1)."""
+    return str(n) if n.bit_length() <= 64 else f"~2^{n.bit_length() - 1}"
 
 
 def _short(g, table: dict) -> str:
@@ -311,8 +308,7 @@ def cmd_inspect(args) -> int:
     print(f"levels built: {c.max_built}")
     print(f"digest: {c.file_digest}")
     for level in c.levels:
-        n_text = str(level.n) if level.n.bit_length() <= 64 else f"~2^{level.n.bit_length() - 1}"
-        print(f"level {level.index}: box n={n_text}")
+        print(f"level {level.index}: box n={_box_text(level.n)}")
         for j in (1, 2):
             st = c.a_state(j, level.index)
             print(

@@ -214,9 +214,6 @@ LAMP_A = LamplighterElement((0,), 0)
 LAMP_S = LamplighterElement((), 1)
 LAMP_S_INV = LamplighterElement((), -1)
 
-ENCODING_VERSION = "1"
-
-
 @dataclass(frozen=True)
 class GroupDescriptor:
     """Group kind plus its fixed symmetric generating set.
@@ -231,7 +228,6 @@ class GroupDescriptor:
 
     kind: str
     children: tuple["GroupDescriptor", ...] = ()
-    encoding_version: str = ENCODING_VERSION
 
     def identity(self) -> Element:
         if self.kind == "lamplighter":

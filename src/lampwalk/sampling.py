@@ -367,20 +367,23 @@ def write_trajectory_csv(path, traj: Trajectory, manifest_digest: str = "") -> N
     """
     from .analysis import analyze_records, stable_so_far_flags
 
-    report = analyze_records(traj.ks())
+    report = analyze_records(traj.k)
     records = set(report.record_times)
     simple = set(report.simple_record_times)
     flags = stable_so_far_flags(traj)
+    neg = traj.neg or bytes(traj.horizon)
     ints: dict = {}  # one decimal conversion per distinct integer in this file
     with open(path, "w", newline="") as fh:
         if manifest_digest:
             fh.write(f"# manifest {manifest_digest}\n")
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
-        for i, step in enumerate(traj.steps, start=1):
-            x_cell = _cell(encode(step.x, ints)) if step.x is not None else ""
+        for i, k in enumerate(traj.k, start=1):
+            entry = traj.elements.get(i - 1)  # (f1, f2, x)
+            x_cell = _cell(encode(entry[2], ints)) if entry else ""
             z_cell = _cell(encode(traj.z(i), ints)) if traj.z_materialized(i) else ""
             fh.write(
-                f"{i},{step.k},{step.y},{step.sigma},{x_cell},{z_cell},"
+                f"{i},{k},{'red' if traj.red[i - 1] else 'blue'},{-1 if neg[i - 1] else 1},"
+                f"{x_cell},{z_cell},"
                 f"{int(i in records)},{int(i in simple)},{int(flags[i - 1])}\r\n"
             )
 

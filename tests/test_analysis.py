@@ -24,7 +24,7 @@ from lampwalk.analysis import (
     tau_extract,
     trajectory_report,
 )
-from lampwalk.construction import Construction
+from lampwalk.construction import Config, Construction
 from lampwalk.groups import (
     LAMP_A,
     LamplighterElement,
@@ -239,7 +239,7 @@ def fresh_record_trajectory(horizon):
 
 
 def test_condition_checks_scan_each_trajectory_once(monkeypatch):
-    # the checks ask for the tracked decomposition at every step; each must
+    # the checks, and the tracked decomposition asked for at every step, must
     # read the one record scan of the trajectory, not redo it
     passes = []
     for name in ("stable_so_far_flags", "dominant_record_times", "_record_scan"):
@@ -297,6 +297,148 @@ def test_condition_checks_multiply_linearly_in_the_horizon(monkeypatch):
     assert count(1000) <= 1000
 
 
+def _reference_tracked_q1(traj, n, c):
+    """The parent's ``_tracked_q1``, kept verbatim for the reference loop."""
+    level = rank_tracked(traj, n)
+    if level == 0:
+        return None
+    m = analysis._scan(traj)[1][n - 1]
+    if traj.red[m - 1]:
+        raise AssertionError("stable step with a red dominant record")
+    q1 = traj.z(m - 1) if traj.z_materialized(m - 1) else None
+    if c is not None and q1 is not None and m > 1:
+        analysis._assert_window_membership(c, level, q1, m)
+    return level, m, q1
+
+
+def _reference_rank_growth(traj):
+    horizon = traj.horizon
+    flags, dom, _ = analysis._scan(traj)
+
+    def rank_at(i):
+        return traj.k[dom[i - 1] - 1] if flags[i - 1] else 0
+
+    early = rank_at(max(1, horizon // 10))
+    late = rank_at(horizon)
+    if late > early:
+        return analysis.ConditionStatus(
+            "pass", f"max rank grew {early} -> {late} over the last decade of steps"
+        )
+    return analysis.ConditionStatus(
+        "censored" if late == early and late > 0 else "fail",
+        f"max rank {early} -> {late}; growth exhausted (truncated levels rank out)",
+    )
+
+
+def reference_conditions(traj, c=None):
+    """The per-step loop ``check_nontriviality_conditions`` replaced, verbatim."""
+    ConditionStatus, ConditionReport = analysis.ConditionStatus, analysis.ConditionReport
+    i0 = detect_stabilization(traj)
+    horizon = traj.horizon
+    if i0 is None:
+        censored = ConditionStatus("censored", "no stabilization within horizon")
+        return ConditionReport(None, censored, censored,
+                               _reference_rank_growth(traj), 0)
+
+    flags, dom, _ = analysis._scan(traj)
+    first_bad = next((i for i in range(i0 + 1, horizon + 1) if not flags[i - 1]), None)
+    membership = ConditionStatus(
+        "pass" if first_bad is None else "fail",
+        "tracked window membership holds at every post-stabilization step"
+        if first_bad is None
+        else f"step {first_bad} lost the window form",
+        i0 + 1,
+    )
+
+    checked = 0
+    p_bad = None
+    for i in range(max(i0 + 1, 1), horizon):
+        checked += 1
+        same = dom[i] == dom[i - 1]
+        fresh = dom[i] == i + 1
+        if not (same or fresh):
+            p_bad = i + 1
+            break
+        if traj.z_materialized(i + 1) and traj.z_materialized(i):
+            # the law reads only q1 = z_{m-1}, so q2 is never formed here
+            t_next = _reference_tracked_q1(traj, i + 1, c)
+            t_here = _reference_tracked_q1(traj, i, c)
+            if t_next is not None and t_here is not None and t_next[2] is not None:
+                target = t_here[2] if same else traj.z(i)
+                if t_next[2] != target:
+                    p_bad = i + 1
+                    break
+    p_dyn = ConditionStatus(
+        "pass" if p_bad is None else "fail",
+        "level-drop map moved by a step or stayed fixed at every transition"
+        if p_bad is None
+        else f"transition into step {p_bad} broke the level-drop law",
+        i0 + 1,
+    )
+    return ConditionReport(i0, membership, p_dyn, _reference_rank_growth(traj), checked)
+
+
+# z values that obey no law: two the certificates cover, one far out of reach
+HUGE = LamplighterElement((10**400,), 0)
+Z_POOL = (PE, ProductElement(LAMP_A, LAMP_A), ProductElement(HUGE, HUGE))
+
+
+def random_trajectory(rng):
+    """Tie-heavy levels, about 20% red steps, arbitrary z values on a random
+    materialized prefix, and increments at random steps."""
+    n = rng.randrange(1, 30)
+    span = rng.choice((2, 3, 5, 40, 80))
+    ks = [rng.randrange(1, span) for _ in range(n)]
+    red = bytearray(rng.random() < 0.2 for _ in range(n))
+    prefix = rng.choice((0, n, rng.randrange(n + 1)))
+    zs = [rng.choice(Z_POOL) for _ in range(prefix)]
+    elements = {i: (None, None, rng.choice(Z_POOL)) for i in range(n) if rng.random() < 0.5}
+    return Trajectory(ks, red, None, elements, zs)
+
+
+def _outcome(check, traj, c):
+    try:
+        return check(traj, c)
+    except AssertionError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("fixture", [None, "mini_asym", "deep_asym"])
+def test_conditions_match_the_per_step_loop(fixture, request):
+    # the reference certifies a record's q1 only at steps where z_{i+1} is
+    # also materialized; the scan certifies each tail record once, so where
+    # the reference raises the scan raises too, and where the scan passes
+    # both give the same report
+    c = request.getfixturevalue(fixture) if fixture else None
+    rng = random.Random(44)
+    stabilized = equal = 0
+    for _ in range(5000):
+        traj = random_trajectory(rng)
+        want = _outcome(reference_conditions, traj, c)
+        got = _outcome(check_nontriviality_conditions, traj, c)
+        if isinstance(want, AssertionError):
+            assert isinstance(got, AssertionError), traj
+            continue
+        if isinstance(got, AssertionError):
+            continue
+        assert got == want, traj
+        equal += 1
+        stabilized += got.stabilization_time is not None
+    assert equal > 3000 and stabilized > 1000
+
+
+def test_each_tail_record_is_certified():
+    # the tail record at step 2 has q1 = z_1 far outside A(1,5)^1; x_2 is not
+    # materialized, so no step offers the pair (z_1, z_2) a per-step check needs
+    c = Construction("asymmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+    c.build_to(10)
+    z1 = ProductElement(HUGE, HUGE)
+    traj = Trajectory([1, 5], bytearray(2), elements={0: (None, None, z1)}, zs=[z1])
+    assert reference_conditions(traj, c).p_dynamics.status == "pass"
+    with pytest.raises(AssertionError, match=r"tracked q1 escapes the A\(1,5\)\^1 certificate"):
+        check_nontriviality_conditions(traj, c)
+
+
 def test_steps_view_writes_back_to_the_columns():
     traj = fresh_record_trajectory(6)
     assert len(traj.steps) == 6 and traj.steps[-1] == traj.step(5)
@@ -313,16 +455,18 @@ def test_steps_view_writes_back_to_the_columns():
         traj.steps[0] = CoupledStep(1, "blue", -1)
 
 
-def test_metadata_walk_and_analysis_build_no_step_objects(mini_asym, monkeypatch):
+def test_metadata_walk_and_analysis_build_no_step_objects(mini_asym, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a CoupledStep was built")
 
     monkeypatch.setattr(sampling, "CoupledStep", refuse)
     kd = KDistribution(truncation=10**4)
     rng = random.Random(43)
-    for _ in range(20):
-        traj = walk(mini_asym, 300, rng, kdist=kd, x_level_cap=0)
+    for idx in range(20):
+        # the last walks materialize the levels mini_asym has built
+        traj = walk(mini_asym, 300, rng, kdist=kd, x_level_cap=0 if idx < 15 else 2)
         trajectory_report(traj, mini_asym)
+        sampling.write_trajectory_csv(tmp_path / f"t{idx}.csv", traj)
 
 
 # -- exhaustive oracle properties -------------------------------------------------------
@@ -584,6 +728,7 @@ def test_conditions_report_on_stabilized(deep_asym, mini_walks):
         assert report.window_membership.status == "pass"
         assert report.p_dynamics.status == "pass"
         assert report.checked_steps > 0
+        assert report == reference_conditions(traj, deep_asym)
 
 
 def test_conditions_censored_without_stabilization():

@@ -77,3 +77,27 @@ def test_pmf_symmetry_fails_on_a_support_not_closed_under_inverse(mini_sym_small
     [(name, ok, detail)] = verify._check_pmf_symmetry(mini_sym_small)
     assert (name, ok) == ("pmf-symmetry", False)
     assert detail.startswith("the support misses the inverse of ")
+
+
+def test_loaded_file_is_verified_without_a_rebuild(tmp_path, monkeypatch):
+    # load already rebuilt the levels from the recipe; the rebuild row holds
+    # that build to the recorded digest instead of building a third copy
+    c = Construction("asymmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+    c.build_to(3)
+    c.save(tmp_path / "m.lwc")
+    loaded = Construction.load(tmp_path / "m.lwc")
+    built = []
+    build_level = Construction.build_level
+
+    def counted(self, i):
+        built.append(i)
+        return build_level(self, i)
+
+    monkeypatch.setattr(Construction, "build_level", counted)
+    rows = {name: (ok, detail) for name, ok, detail in verify.run_verification_suite(loaded)}
+    assert built == []
+    assert rows["deterministic-rebuild"] == (True, "rebuild reproduces the recorded digest")
+    loaded.file_digest = "0" * 64
+    [row] = verify._check_rebuild(loaded)
+    assert row == ("deterministic-rebuild", False, "rebuild diverges")
+    assert built == []
