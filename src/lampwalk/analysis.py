@@ -210,7 +210,7 @@ def _assert_window_membership(c: Construction, level: int, q1, m: int) -> None:
         return
     for j, comp in ((1, q1.left), (2, q1.right)):
         if not certify_power(c.a_state(j, level).cert, m - 1).covers(comp):
-            raise AssertionError(f"tracked q1 escapes the A({j},{level})^{m - 1} certificate")
+            raise MembershipError(f"tracked q1 escapes the A({j},{level})^{m - 1} certificate")
 
 
 # -- exhaustive window index (mini schedule) ---------------------------------------
@@ -502,7 +502,7 @@ def check_nontriviality_conditions(traj: Trajectory, c: Optional[Construction] =
     What can fail is the certificate: with ``c`` given, each tail record m
     > 1 whose q1 = z_{m-1} is materialized is checked to lie in
     A(j, k_m)^(m-1) for both factors, once per record; an escape raises
-    ``AssertionError``.  ``checked_steps`` counts the post-stabilization
+    ``MembershipError``.  ``checked_steps`` counts the post-stabilization
     transitions the two laws cover.
     """
     i0 = detect_stabilization(traj)

@@ -1,9 +1,10 @@
 """Reproducible batch front-end.
 
 Subcommands: build, sample, analyze, tv, verify, verify-switcher, inspect.
-Every run writes a manifest whose digest is stamped into each output file;
-identical manifests produce byte-identical outputs.  Wall-clock timestamps
-are omitted unless --stamp is passed, keeping reruns byte-comparable.
+build, sample, analyze and tv stamp the digest of a run manifest into each
+output file; identical manifests produce byte-identical outputs.  build and
+sample also write the manifest, with a wall-clock timestamp only under
+--stamp, which the digest leaves out.
 """
 
 from __future__ import annotations
@@ -53,17 +54,14 @@ def trajectory_rng(master_seed: int, index: int) -> random.Random:
 class Manifest:
     command: list
     config: dict
-    seed: int
     construction_digest: str = ""
     version: str = __version__
-    timestamp: str = ""
 
     def _payload(self) -> dict:
         """The fields the digest covers; the file adds the timestamp and digest."""
         return {
             "command": self.command,
             "config": self.config,
-            "seed": self.seed,
             "construction": self.construction_digest,
             "version": self.version,
         }
@@ -72,9 +70,10 @@ class Manifest:
         payload = json.dumps(self._payload(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def write(self, path) -> str:
+    def write(self, path, stamp: bool) -> str:
         digest = self.digest()
-        payload = {**self._payload(), "timestamp": self.timestamp, "digest": digest}
+        timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()) if stamp else ""
+        payload = {**self._payload(), "timestamp": timestamp, "digest": digest}
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -82,31 +81,20 @@ class Manifest:
 
 
 def _effective_config(args) -> dict:
-    cfg = {}
-    for key in (
-        "mode", "schedule", "truncation_level", "seed",
-        "x_level_cap", "horizon", "n_traj", "max_level",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key.replace("_", "-")] = str(val)
-    return cfg
+    """Every setting in effect, as text, keyed by its flag or argument name.
 
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    The dispatch function and the argv copy are no settings, and --stamp asks
+    for a timestamp that the digest leaves out.
+    """
+    return {
+        key.replace("_", "-"): str(val)
+        for key, val in vars(args).items()
+        if key not in ("func", "argv", "stamp") and val is not None
+    }
 
 
 def _manifest(args, construction_digest="") -> Manifest:
-    return Manifest(
-        command=list(args.argv),
-        config=_effective_config(args),
-        seed=args.seed,
-        construction_digest=construction_digest,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()) if args.stamp else "",
-    )
+    return Manifest(args.argv, _effective_config(args), construction_digest)
 
 
 def _int_or_none(text):
@@ -148,12 +136,6 @@ def _horizons(text: str) -> list:
 
 
 def cmd_build(args) -> int:
-    if args.max_level < 1:
-        print("error: --max-level must be >= 1", file=sys.stderr)
-        return 2
-    if not 1 <= args.mini_box_cap <= MINI_BOX_MAX:
-        print(f"error: --mini-box-cap must be in 1..{MINI_BOX_MAX}", file=sys.stderr)
-        return 2
     cfg = Config(mini_box_cap=args.mini_box_cap, brute_verify=not args.no_brute_verify)
     c = Construction(mode=args.mode, schedule=args.schedule, config=cfg)
     for i in range(1, args.max_level + 1):
@@ -175,7 +157,7 @@ def cmd_build(args) -> int:
     out = Path(args.out)
     construction_digest = c.save(out)
     manifest = _manifest(args, construction_digest)
-    digest = manifest.write(out.with_suffix(out.suffix + ".manifest.json"))
+    digest = manifest.write(out.with_suffix(out.suffix + ".manifest.json"), args.stamp)
     print(f"saved {out} (construction {construction_digest[:12]}, manifest {digest[:12]})")
     return 0
 
@@ -196,9 +178,9 @@ def cmd_sample(args) -> int:
     cap = _int_or_none(args.x_level_cap)
     # walks read every level they materialize, up to the cap or the truncation
     c.build_to(args.truncation_level if cap is None else min(cap, args.truncation_level))
-    out_dir = _out_dir(args)
-    manifest = _manifest(args, c.file_digest)
-    digest = manifest.write(out_dir / "manifest.json")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    digest = _manifest(args, c.file_digest).write(out_dir / "manifest.json", args.stamp)
     for idx in range(args.n_traj):
         rng = trajectory_rng(args.seed, idx)
         traj = walk(c, args.horizon, rng, kdist=kdist, x_level_cap=cap)
@@ -214,9 +196,8 @@ def cmd_analyze(args) -> int:
     for path in args.trajectories:
         traj = read_trajectory_csv(path)
         reports.append(trajectory_report(traj, c, freeness))
-    manifest = _manifest(args, c.file_digest if c else "")
     out = Path(args.out)
-    write_analysis_json(out, reports, manifest.digest())
+    write_analysis_json(out, reports, _manifest(args, c.file_digest if c else "").digest())
     stabilized = sum(1 for r in reports if r["stabilization_time"] is not None)
     print(f"analyzed {len(reports)} trajectories ({stabilized} stabilized) -> {out}")
     return 0
@@ -248,9 +229,8 @@ def cmd_tv(args) -> int:
             marginal = marginals.get(n)
             exact = None if marginal is None else tv(translate(h, marginal), marginal)
             rows.append((report, exact))
-    manifest = _manifest(args, c.file_digest)
     out = Path(args.out)
-    write_tv_curve(out, rows, manifest.digest())
+    write_tv_curve(out, rows, _manifest(args, c.file_digest).digest())
     for report, exact in rows:
         extra = "" if exact is None else f" exact={exact:.6g}"
         print(
@@ -319,28 +299,28 @@ def cmd_inspect(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument("--out-dir", default="out", help="directory for multi-file outputs")
-    common.add_argument("--stamp", action="store_true", help="embed a wall-clock timestamp")
     parser = argparse.ArgumentParser(
         prog="lampwalk",
         description="Coupled lamplighter walks: build, simulate, verify, bound.",
-        parents=[common],
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
-    p = sub.add_parser("build", help="build and save a construction", parents=[common])
+    p = sub.add_parser("build", help="build and save a construction")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--stamp", action="store_true", help="timestamp the manifest file")
     p.add_argument("--mode", choices=["asymmetric", "symmetric"], default="asymmetric")
     p.add_argument("--schedule", choices=["paper", "mini"], default="mini")
-    p.add_argument("--max-level", type=int, default=2)
-    p.add_argument("--mini-box-cap", type=int, default=2,
+    p.add_argument("--max-level", type=_positive, default=2)
+    p.add_argument("--mini-box-cap", type=int, choices=range(1, MINI_BOX_MAX + 1), default=2,
                    help="window-size ceiling for mini boxes (1 keeps oracles tiny)")
     p.add_argument("--no-brute-verify", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("sample", help="simulate coupled trajectories", parents=[common])
+    p = sub.add_parser("sample", help="simulate coupled trajectories")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--stamp", action="store_true", help="timestamp the manifest file")
+    p.add_argument("--out-dir", default="out", help="directory for the trajectory files")
     p.add_argument("construction")
     p.add_argument("--n-traj", type=_non_negative, default=10)
     p.add_argument("--horizon", type=_positive, default=1000)
@@ -349,14 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="materialize increments up to this level; 'none' = all")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("analyze", help="records, stabilization, tails, freeness", parents=[common])
+    p = sub.add_parser("analyze", help="records, stabilization, tails, freeness")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("trajectories", nargs="+")
     p.add_argument("--construction")
     p.add_argument("--freeness", nargs="*", help="encoded product elements to test")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("tv", help="certified marginal total-variation bounds", parents=[common])
+    p = sub.add_parser("tv", help="certified marginal total-variation bounds")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("construction")
     p.add_argument("--generators", nargs="*",
                    help="encoded lamplighter elements; space-separate inside "
@@ -370,17 +352,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tv)
 
-    p = sub.add_parser("verify", help="run the verification suite on a construction", parents=[common])
+    p = sub.add_parser("verify", help="run the verification suite on a construction")
     p.add_argument("construction")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("verify-switcher", help="check one candidate against a set file", parents=[common])
+    p = sub.add_parser("verify-switcher", help="check one candidate against a set file")
     p.add_argument("set_file")
     p.add_argument("candidate")
     p.add_argument("--super", action="store_true", help="check the symmetric clauses too")
     p.set_defaults(func=cmd_verify_switcher)
 
-    p = sub.add_parser("inspect", help="summarize a construction file", parents=[common])
+    p = sub.add_parser("inspect", help="summarize a construction file")
     p.add_argument("construction")
     p.set_defaults(func=cmd_inspect)
     return parser
@@ -390,10 +372,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.argv = argv  # manifests record the arguments of this run, not the host's
+    # manifests record the arguments of this run, not the host's, and leave
+    # out --stamp as the digest leaves out the timestamp
+    args.argv = [a for a in argv if a != "--stamp"]
     try:
         return args.func(args)
-    except LampwalkError as exc:
+    except (LampwalkError, OSError) as exc:  # an OSError names the path it could not use
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,8 +41,8 @@ from itertools import accumulate
 from typing import Optional
 
 from .construction import Construction
-from .errors import CorruptFileError, OracleRangeError
-from .groups import ProductElement, encode, inverse, multiply
+from .errors import CorruptFileError, OracleRangeError, ParseError
+from .groups import ProductElement, decode, encode, inverse, multiply
 from .setalg import ORACLE_BOX_CAP
 
 DEFAULT_EXPONENT = 1.25
@@ -389,8 +389,8 @@ def write_trajectory_csv(path, traj: Trajectory, manifest_digest: str = "") -> N
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    from .groups import decode
-
+    """Read a trajectory back; a bad header, row or cell raises ``CorruptFileError``
+    with the path and the step."""
     traj = Trajectory([], bytearray(), bytearray())
     ints: dict = {}  # one int() per distinct integer text in this file
     # partial products outgrow the default cap; the process-wide limit is
@@ -399,20 +399,28 @@ def read_trajectory_csv(path) -> Trajectory:
     try:
         with open(path) as fh:
             reader = csv.reader(line for line in fh if not line.startswith("#"))
-            header = next(reader)
+            header = next(reader, None)
             if header != TRAJECTORY_COLUMNS:
-                raise OracleRangeError(f"unexpected trajectory columns: {header}")
-            for i, row in enumerate(reader):
+                raise CorruptFileError(f"{path}: unexpected trajectory columns: {header}")
+            for step, row in enumerate(reader, start=1):
+                if len(row) < len(TRAJECTORY_COLUMNS):
+                    raise CorruptFileError(f"{path}: step {step} has {len(row)} cells")
                 (_, k, y, sigma, x_text, z_text, *_rest) = row
+                if not k.isdecimal() or k.startswith("0"):
+                    raise CorruptFileError(f"{path}: step {step} has level {k!r}")
                 if y not in ("red", "blue") or sigma not in ("1", "-1"):
-                    raise CorruptFileError(f"{path}: step {i + 1} has colour {y!r} and sign {sigma!r}")
+                    raise CorruptFileError(f"{path}: step {step} has colour {y!r} and sign {sigma!r}")
                 traj.k.append(int(k))
                 traj.red.append(y == "red")
                 traj.neg.append(sigma == "-1")
                 if x_text:
-                    traj.elements[i] = (None, None, decode(x_text, table=ints))
-                if z_text and len(traj.zs) == i:
+                    traj.elements[step - 1] = (None, None, decode(x_text, table=ints))
+                if z_text and len(traj.zs) == step - 1:
                     traj.zs.append(decode(z_text, table=ints))
+    except ParseError as exc:
+        raise CorruptFileError(f"{path}: step {step}: {exc}") from None
     finally:
         csv.field_size_limit(limit)
+    if not traj.k:
+        raise CorruptFileError(f"{path}: no steps")
     return traj

@@ -25,6 +25,7 @@ from lampwalk.analysis import (
     trajectory_report,
 )
 from lampwalk.construction import Config, Construction
+from lampwalk.errors import MembershipError
 from lampwalk.groups import (
     LAMP_A,
     LamplighterElement,
@@ -399,7 +400,7 @@ def random_trajectory(rng):
 def _outcome(check, traj, c):
     try:
         return check(traj, c)
-    except AssertionError as exc:
+    except MembershipError as exc:
         return exc
 
 
@@ -416,10 +417,10 @@ def test_conditions_match_the_per_step_loop(fixture, request):
         traj = random_trajectory(rng)
         want = _outcome(reference_conditions, traj, c)
         got = _outcome(check_nontriviality_conditions, traj, c)
-        if isinstance(want, AssertionError):
-            assert isinstance(got, AssertionError), traj
+        if isinstance(want, MembershipError):
+            assert isinstance(got, MembershipError), traj
             continue
-        if isinstance(got, AssertionError):
+        if isinstance(got, MembershipError):
             continue
         assert got == want, traj
         equal += 1
@@ -435,7 +436,7 @@ def test_each_tail_record_is_certified():
     z1 = ProductElement(HUGE, HUGE)
     traj = Trajectory([1, 5], bytearray(2), elements={0: (None, None, z1)}, zs=[z1])
     assert reference_conditions(traj, c).p_dynamics.status == "pass"
-    with pytest.raises(AssertionError, match=r"tracked q1 escapes the A\(1,5\)\^1 certificate"):
+    with pytest.raises(MembershipError, match=r"tracked q1 escapes the A\(1,5\)\^1 certificate"):
         check_nontriviality_conditions(traj, c)
 
 

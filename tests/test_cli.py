@@ -144,9 +144,9 @@ def test_verify_rejects_truncated_file(tmp_path):
 
 def test_build_rejects_bad_level(tmp_path):
     for flags, message in (
-        (["--max-level", "0"], "--max-level must be >= 1"),
-        (["--mini-box-cap", "0"], "--mini-box-cap must be in 1..2"),
-        (["--mini-box-cap", "3"], "--mini-box-cap must be in 1..2"),
+        (["--max-level", "0"], "error: argument --max-level: "),
+        (["--mini-box-cap", "0"], "error: argument --mini-box-cap: "),
+        (["--mini-box-cap", "3"], "error: argument --mini-box-cap: "),
     ):
         proc = run(["build", *flags, "--out", "x.lwc"], tmp_path, check=False)
         assert proc.returncode == 2, flags
@@ -271,7 +271,6 @@ def test_tv_manifest_names_the_loaded_file(tmp_path, monkeypatch):
     want = cli.Manifest(
         command=argv,
         config=cli._effective_config(cli.build_parser().parse_args(argv)),
-        seed=0,
         construction_digest=file_digest,
     )
     first = (tmp_path / "tv.csv").read_text().splitlines()[0]
@@ -308,3 +307,135 @@ def test_only_build_and_verify_serialize(tmp_path, monkeypatch):
         calls.clear()
         run_in_process(argv, monkeypatch)
         assert len(calls) == want, argv[0]
+
+
+# the minimal argv of each subcommand; "" stands for the top-level parser,
+# whose options go before the subcommand
+MINIMAL_ARGV = {
+    "": ["inspect", "m.lwc"],
+    "build": ["build", "--out", "x.lwc"],
+    "sample": ["sample", "m.lwc"],
+    "analyze": ["analyze", "t.csv", "--out", "a.json"],
+    "tv": ["tv", "m.lwc", "--out", "tv.csv"],
+    "verify": ["verify", "m.lwc"],
+    "verify-switcher": ["verify-switcher", "set.txt", "0|"],
+    "inspect": ["inspect", "m.lwc"],
+}
+RUN_FLAGS = {"--seed": ["--seed", "1"], "--stamp": ["--stamp"], "--out-dir": ["--out-dir", "x"]}
+FLAG_SLOTS = {
+    "": set(),
+    "build": {"--seed", "--stamp"},
+    "sample": {"--seed", "--stamp", "--out-dir"},
+    "analyze": {"--seed"},
+    "tv": {"--seed"},
+    "verify": set(),
+    "verify-switcher": set(),
+    "inspect": set(),
+}
+
+
+def test_run_flags_are_taken_only_where_they_act():
+    # --seed where a manifest records it, --stamp where a manifest file is
+    # written, --out-dir where files go to a directory: 7 slots of 24
+    from lampwalk import cli
+
+    parser = cli.build_parser()
+    for command, argv in MINIMAL_ARGV.items():
+        taken = set()
+        for flag, tokens in RUN_FLAGS.items():
+            try:
+                parser.parse_args(tokens + argv if command == "" else argv + tokens)
+            except SystemExit as exc:
+                assert exc.code == 2
+            else:
+                taken.add(flag)
+        assert taken == FLAG_SLOTS[command], command
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A level-2 mini file and trajectory CSVs that each break one rule."""
+    from lampwalk import cli
+    from lampwalk.groups import LamplighterElement, ProductElement
+    from lampwalk.sampling import Trajectory, write_trajectory_csv
+
+    root = tmp_path_factory.mktemp("bad")
+    assert cli.main(["build", "--mini-box-cap", "1", "--no-brute-verify",
+                     "--out", str(root / "m.lwc")]) == 0
+    write_trajectory_csv(root / "ok.csv", Trajectory([2, 1, 3], bytearray(3)), "x")
+    lines = (root / "ok.csv").read_text().splitlines(keepends=True)
+    (root / "k-text.csv").write_text("".join(lines[:3]) + lines[3].replace("2,1,", "2,x,", 1))
+    (root / "k-zero.csv").write_text("".join(lines[:3]) + lines[3].replace("2,1,", "2,0,", 1))
+    (root / "short.csv").write_text("".join(lines[:3]) + "2,1,blue\r\n")
+    (root / "header-only.csv").write_text("".join(lines[:2]))
+    (root / "bad-x.csv").write_text("".join(lines[:3]) + "2,1,blue,1,(1|;,,0,0,0\r\n")
+    # a tail record at step 2 (level 3) whose q1 = z_1 is far outside A(1,3)^1
+    huge = LamplighterElement((10**400,), 0)
+    z1 = ProductElement(huge, huge)
+    escape = Trajectory([1, 3], bytearray(2), elements={0: (None, None, z1)}, zs=[z1])
+    write_trajectory_csv(root / "escape.csv", escape, "x")
+    return root
+
+
+@pytest.mark.parametrize("argv, message", [
+    # run flags where they do nothing
+    (["--seed", "5", "sample", "{root}/m.lwc"], "invalid choice: '5'"),
+    (["verify", "{root}/m.lwc", "--seed", "1"], "unrecognized arguments: --seed"),
+    (["inspect", "{root}/m.lwc", "--out-dir", "x"], "unrecognized arguments: --out-dir"),
+    (["analyze", "{root}/ok.csv", "--stamp", "--out", "a.json"], "unrecognized arguments: --stamp"),
+    (["tv", "{root}/m.lwc", "--stamp", "--out", "tv.csv"], "unrecognized arguments: --stamp"),
+    (["tv", "{root}/m.lwc", "--out-dir", "x", "--out", "tv.csv"], "unrecognized arguments: --out-dir"),
+    # a path that cannot be opened or written
+    (["sample", "missing.lwc"], "missing.lwc"),
+    (["tv", "missing.lwc", "--out", "tv.csv"], "missing.lwc"),
+    (["verify", "missing.lwc"], "missing.lwc"),
+    (["inspect", "missing.lwc"], "missing.lwc"),
+    (["analyze", "missing.csv", "--out", "a.json"], "missing.csv"),
+    (["verify-switcher", "missing.txt", "0|"], "missing.txt"),
+    (["build", "--max-level", "1", "--no-brute-verify", "--out", "nodir/x.lwc"], "nodir/x.lwc"),
+    # trajectory files that break a rule
+    (["analyze", "{root}/k-text.csv", "--out", "a.json"], "k-text.csv: step 2 has level 'x'"),
+    (["analyze", "{root}/k-zero.csv", "--out", "a.json"], "k-zero.csv: step 2 has level '0'"),
+    (["analyze", "{root}/short.csv", "--out", "a.json"], "short.csv: step 2 has 3 cells"),
+    (["analyze", "{root}/header-only.csv", "--out", "a.json"], "header-only.csv: no steps"),
+    (["analyze", "{root}/bad-x.csv", "--out", "a.json"], "bad-x.csv: step 2: "),
+    (["analyze", "{root}/escape.csv", "--construction", "{root}/m.lwc", "--out", "a.json"],
+     "tracked q1 escapes the A(1,3)^1 certificate"),
+])
+def test_bad_input_is_one_error_line(bad_inputs, tmp_path, monkeypatch, capsys, argv, message):
+    from lampwalk import cli
+
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = cli.main([a.replace("{root}", str(bad_inputs)) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_manifest_config_holds_every_setting(tmp_path, monkeypatch):
+    from lampwalk import cli
+
+    def config(argv):
+        return cli._effective_config(cli.build_parser().parse_args(argv))
+
+    tv = ["tv", "m.lwc", "--out", "tv.csv", "--factor"]
+    assert config([*tv, "1"]) != config([*tv, "2"])
+    build = ["build", "--max-level", "1", "--mini-box-cap", "1", "--no-brute-verify",
+             "--out", "m.lwc"]
+    manifests = {}
+    for name, extra in (("plain", []), ("stamped", ["--stamp"])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert cli.main([*build, *extra]) == 0
+        manifests[name] = json.loads(Path("m.lwc.manifest.json").read_text())
+    plain, stamped = manifests["plain"], manifests["stamped"]
+    assert plain["config"]["mini-box-cap"] == "1"
+    assert "stamp" not in plain["config"] and "seed" not in plain
+    # the digest leaves the timestamp out, and the flag that asks for it
+    assert plain["timestamp"] == "" and stamped["timestamp"] != ""
+    assert plain["digest"] == stamped["digest"]
