@@ -3,9 +3,9 @@
 The package builds the level schedules that couple two lamplighter factors
 through switcher elements and skew-box Folner sets, samples the induced
 heavy-tailed walk, verifies the finitary structure (switchers, unique window
-decompositions, record stabilization, tail freeness) by exact enumeration
-and certified bounds, and bounds the marginal walks' total-variation
-displacement.
+decompositions, record stabilization) by exact enumeration and certified
+bounds, reads tail freeness off the group law once a tail shows an entry at
+a translate's membership level, and bounds the marginal TV displacement.
 """
 
 __version__ = "0.1.0"

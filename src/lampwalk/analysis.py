@@ -32,7 +32,7 @@ from typing import Optional
 
 from .construction import Construction
 from .errors import MembershipError, OracleRangeError
-from .groups import ProductElement, _lamp, _product_row, encode, multiply
+from .groups import PRODUCT_IDENTITY, ProductElement, _lamp, _product_row, encode, is_identity, multiply
 from .sampling import Trajectory
 from .setalg import BRUTE_BOX_CAP, certify_power
 
@@ -193,9 +193,7 @@ def decompose_tracked(traj: Trajectory, n: int, c: Optional[Construction] = None
 
 def _product_tail(traj: Trajectory, m: int, n: int) -> ProductElement:
     if m == n:
-        from .groups import lamplighter_group, product_group
-
-        return product_group(lamplighter_group(), lamplighter_group()).identity()
+        return PRODUCT_IDENTITY
     out = None
     for i in range(m, n):
         x = traj.elements[i][2]
@@ -445,9 +443,13 @@ def tau_extract(traj: Trajectory) -> TailSequence:
 def freeness_test(traj: Trajectory, h: ProductElement, c: Construction) -> str:
     """'distinct' | 'identical' | 'censored' for the translated tail.
 
-    Translation by h multiplies every deposited entry from h's membership
-    level onward, so the matched comparison is gamma versus h*gamma with
-    exact element equality.
+    Translation by h acts on the deposited entries from h's membership level
+    onward, matching each z_{m-1} with h*z_{m-1}.  In a group h*z = z holds
+    exactly when h = e (cancel z on the right), so once one entry is matched
+    the comparison is decided by the group law and no product is formed.
+    The verdict's content is the gating: it is 'censored' unless the tail
+    reaches h's membership level with an element the report can show (a
+    materialized z_{m-1}).
     """
     tail = tau_extract(traj)
     if tail.censored or not tail.entries:
@@ -455,17 +457,9 @@ def freeness_test(traj: Trajectory, h: ProductElement, c: Construction) -> str:
     level_needed = max(
         c.membership_level(1, h.left), c.membership_level(2, h.right)
     )
-    compared = 0
-    differs = False
-    for entry in tail.entries:
-        if entry.level < level_needed or entry.element is None:
-            continue
-        compared += 1
-        if multiply(h, entry.element) != entry.element:
-            differs = True
-    if compared == 0:
+    if not any(e.level >= level_needed and e.element is not None for e in tail.entries):
         return "censored"
-    return "distinct" if differs else "identical"
+    return "identical" if is_identity(h) else "distinct"
 
 
 # -- non-triviality conditions -------------------------------------------------------

@@ -559,8 +559,11 @@ class Construction:
     @classmethod
     def load(cls, path) -> "Construction":
         """Rebuild, without brute checks, the levels a recipe written by ``save`` names."""
-        with open(path) as fh:
-            head, sep, digest = fh.read().rpartition("\nsha256: ")
+        try:
+            with open(path) as fh:
+                head, sep, digest = fh.read().rpartition("\nsha256: ")
+        except UnicodeDecodeError:
+            raise CorruptFileError(f"{path}: not UTF-8 text") from None
         if not sep:
             raise CorruptFileError("missing integrity line (file truncated?)")
         if hashlib.sha256(f"{head}\n".encode()).hexdigest() != digest.strip():

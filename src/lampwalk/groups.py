@@ -210,6 +210,7 @@ class AbelianControlElement(_TupleElement):
 Element = LamplighterElement | ProductElement | AbelianControlElement
 
 LAMP_IDENTITY = LamplighterElement((), 0)
+PRODUCT_IDENTITY = ProductElement(LAMP_IDENTITY, LAMP_IDENTITY)
 LAMP_A = LamplighterElement((0,), 0)
 LAMP_S = LamplighterElement((), 1)
 LAMP_S_INV = LamplighterElement((), -1)

@@ -41,8 +41,8 @@ from itertools import accumulate
 from typing import Optional
 
 from .construction import Construction
-from .errors import CorruptFileError, OracleRangeError, ParseError
-from .groups import ProductElement, decode, encode, inverse, multiply
+from .errors import CorruptFileError, LampwalkError, OracleRangeError, ParseError
+from .groups import PRODUCT_IDENTITY, ProductElement, decode, encode, inverse, multiply
 from .setalg import ORACLE_BOX_CAP
 
 DEFAULT_EXPONENT = 1.25
@@ -194,7 +194,7 @@ class Trajectory:
     def z(self, n: int) -> ProductElement:
         """Partial product z_n = x_1 ... x_n (z_0 = identity)."""
         if n == 0:
-            return self._identity()
+            return PRODUCT_IDENTITY
         if n - 1 < len(self.zs):
             return self.zs[n - 1]
         raise OracleRangeError(
@@ -203,12 +203,6 @@ class Trajectory:
 
     def z_materialized(self, n: int) -> bool:
         return n == 0 or n - 1 < len(self.zs)
-
-    def _identity(self) -> ProductElement:
-        from .groups import lamplighter_group, product_group
-
-        lamp = lamplighter_group()
-        return product_group(lamp, lamp).identity()
 
 
 class _Steps(Sequence):
@@ -332,7 +326,7 @@ def _plain_mass(c: Construction, g: ProductElement, kdist: KDistribution) -> flo
         parses = _blue_parses(c, k, g)
         if parses:
             if len(parses) > 1:
-                raise AssertionError("blue parse not unique; switcher breach")
+                raise LampwalkError("blue parse not unique; switcher breach")
             size = level.box().size()
             total += pk * (1.0 - red_p) / (size * size)
     return total
@@ -390,7 +384,7 @@ def write_trajectory_csv(path, traj: Trajectory, manifest_digest: str = "") -> N
 
 def read_trajectory_csv(path) -> Trajectory:
     """Read a trajectory back; a bad header, row or cell raises ``CorruptFileError``
-    with the path and the step."""
+    with the path and the step, and a file that is not UTF-8 text with the path."""
     traj = Trajectory([], bytearray(), bytearray())
     ints: dict = {}  # one int() per distinct integer text in this file
     # partial products outgrow the default cap; the process-wide limit is
@@ -419,6 +413,8 @@ def read_trajectory_csv(path) -> Trajectory:
                     traj.zs.append(decode(z_text, table=ints))
     except ParseError as exc:
         raise CorruptFileError(f"{path}: step {step}: {exc}") from None
+    except UnicodeDecodeError:
+        raise CorruptFileError(f"{path}: not UTF-8 text") from None
     finally:
         csv.field_size_limit(limit)
     if not traj.k:

@@ -19,12 +19,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
-from .errors import MembershipError, SizeCapError
+from .errors import CorruptFileError, MembershipError, ParseError, SizeCapError
 from .groups import (
     Element,
     GroupDescriptor,
     LamplighterElement,
     _lamp,
+    decode,
     encode,
     inverse,
     multiply,
@@ -68,10 +69,18 @@ def explicit(group: GroupDescriptor, elements: Iterable[Element]) -> ExplicitSet
 
 
 def read_set(path, group: GroupDescriptor):
-    from .groups import decode
-
-    with open(path) as fh:
-        elems = [decode(line.strip()) for line in fh if line.strip()]
+    """One encoded element a line, blank lines skipped; a bad element or a file
+    that is not UTF-8 text raises ``CorruptFileError`` with the path."""
+    elems = []
+    try:
+        with open(path) as fh:
+            for number, line in enumerate(fh, start=1):
+                if text := line.strip():
+                    elems.append(decode(text))
+    except UnicodeDecodeError:
+        raise CorruptFileError(f"{path}: not UTF-8 text") from None
+    except ParseError as exc:
+        raise CorruptFileError(f"{path}: line {number}: {exc}") from None
     return explicit(group, elems)
 
 

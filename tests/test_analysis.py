@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lampwalk import analysis, sampling
+from lampwalk import analysis, groups, sampling
 from lampwalk.analysis import (
     MULTIPLE,
     WindowOracle,
@@ -30,6 +30,7 @@ from lampwalk.groups import (
     LAMP_A,
     LamplighterElement,
     ProductElement,
+    decode,
     encode,
     lamplighter_group,
     multiply,
@@ -720,6 +721,66 @@ def test_freeness_censored_when_unmaterialized(mini_asym):
     assert detect_stabilization(traj) == 2
     h = ProductElement(LAMP_A, lamplighter_group().identity())
     assert freeness_test(traj, h, mini_asym) == "censored"
+
+
+def reference_freeness(traj, h, c):
+    """The translate-and-compare loop ``freeness_test`` replaced, kept verbatim."""
+    tail = tau_extract(traj)
+    if tail.censored or not tail.entries:
+        return "censored"
+    level_needed = max(
+        c.membership_level(1, h.left), c.membership_level(2, h.right)
+    )
+    compared = 0
+    differs = False
+    for entry in tail.entries:
+        if entry.level < level_needed or entry.element is None:
+            continue
+        compared += 1
+        if multiply(h, entry.element) != entry.element:
+            differs = True
+    if compared == 0:
+        return "censored"
+    return "distinct" if differs else "identical"
+
+
+# the identity, generators in and past the built cores, and (0|;5|0,3,4),
+# whose membership level (5021) lies past any level these walks reach
+FREENESS_GENERATORS = [
+    "(0|;0|)", "(0|0;0|)", "(0|;0|0)", "(1|;1|)", "(-1|;0|)", "(3|;0|)",
+    "(2|0,1;-1|)", "(0|;5|0,3,4)",
+]
+
+
+def test_freeness_verdict_matches_the_translate_and_compare_loop():
+    c = Construction("asymmetric", "mini")
+    c.build_to(300)
+    gens = [decode(t) for t in FREENESS_GENERATORS]
+    tally = {"distinct": 0, "identical": 0, "censored": 0}
+    for truncation in (50, 10**4):
+        kd = KDistribution(truncation=truncation)
+        for cap, horizon in itertools.product((300, 5, 0), (5, 40, 200)):
+            for seed in range(30):
+                traj = walk(c, horizon, random.Random(seed), kdist=kd, x_level_cap=cap)
+                for h in gens:
+                    verdict = freeness_test(traj, h, c)
+                    assert verdict == reference_freeness(traj, h, c), (truncation, cap, horizon, seed, h)
+                    tally[verdict] += 1
+    assert c.max_built == 300
+    assert sum(tally.values()) == 4320
+    assert min(tally.values()) >= 300, tally
+
+
+def test_freeness_forms_no_product(deep_asym, mini_walks, monkeypatch):
+    def refused(a, b):
+        raise AssertionError("freeness_test multiplied")
+
+    monkeypatch.setattr(analysis, "multiply", refused)
+    monkeypatch.setattr(groups, "multiply", refused)
+    h = ProductElement(LAMP_A, lamplighter_group().identity())
+    for traj in mini_walks:
+        assert freeness_test(traj, PE, deep_asym) == "identical"
+        assert freeness_test(traj, h, deep_asym) == "distinct"
 
 
 def test_conditions_report_on_stabilized(deep_asym, mini_walks):

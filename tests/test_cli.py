@@ -1,6 +1,7 @@
 """End-to-end CLI: build, sample, analyze, tv, verify; determinism contract."""
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -374,6 +375,11 @@ def bad_inputs(tmp_path_factory):
     z1 = ProductElement(huge, huge)
     escape = Trajectory([1, 3], bytearray(2), elements={0: (None, None, z1)}, zs=[z1])
     write_trajectory_csv(root / "escape.csv", escape, "x")
+    # bytes that are not UTF-8 text, and a set file with a bad second element
+    (root / "bin.csv").write_bytes("".join(lines[:2]).encode() + b"\xff\xfe\r\n")
+    (root / "bin.lwc").write_bytes((root / "m.lwc").read_bytes()[:40] + b"\xff\xfe")
+    (root / "bin.txt").write_bytes(b"0|\n\xff\xfe\n")
+    (root / "bad.txt").write_text("0|\n07|\n")
     return root
 
 
@@ -401,6 +407,12 @@ def bad_inputs(tmp_path_factory):
     (["analyze", "{root}/bad-x.csv", "--out", "a.json"], "bad-x.csv: step 2: "),
     (["analyze", "{root}/escape.csv", "--construction", "{root}/m.lwc", "--out", "a.json"],
      "tracked q1 escapes the A(1,3)^1 certificate"),
+    # files that are not UTF-8 text, and a set file with a bad element
+    (["analyze", "{root}/bin.csv", "--out", "a.json"], "bin.csv: not UTF-8 text"),
+    (["inspect", "{root}/bin.lwc"], "bin.lwc: not UTF-8 text"),
+    (["verify-switcher", "{root}/bin.txt", "0|"], "bin.txt: not UTF-8 text"),
+    (["verify-switcher", "{root}/bad.txt", "1|"],
+     "bad.txt: line 2: not a canonical integer: '07' (at position 0)"),
 ])
 def test_bad_input_is_one_error_line(bad_inputs, tmp_path, monkeypatch, capsys, argv, message):
     from lampwalk import cli
@@ -415,6 +427,62 @@ def test_bad_input_is_one_error_line(bad_inputs, tmp_path, monkeypatch, capsys, 
     assert sum("error:" in line for line in err.splitlines()) == 1, err
     assert message in err
     assert "Traceback" not in err
+
+
+MUTATION_SEED = 7
+MUTANTS_PER_FILE = 300
+
+
+def _mutant(data: bytes, kind: int, rng: random.Random) -> bytes:
+    """``data`` with one byte flipped, its tail cut, two lines swapped, or one byte deleted."""
+    i = rng.randrange(len(data))
+    if kind == 0:
+        return data[:i] + bytes([data[i] ^ rng.randrange(1, 256)]) + data[i + 1:]
+    if kind == 1:
+        return data[:i]
+    if kind == 2:
+        lines = data.splitlines(keepends=True)
+        a, b = rng.sample(range(len(lines)), 2)
+        lines[a], lines[b] = lines[b], lines[a]
+        return b"".join(lines)
+    return data[:i] + data[i + 1:]
+
+
+def test_mutated_files_are_verdicts_or_one_error_line(tmp_path, monkeypatch, capsys):
+    """Seeded mutants of a 5-level construction, a trajectory CSV and a 3-line set file.
+
+    Every run exits 0 or 2, or 1 for a failing switcher verdict; none raises,
+    and an exit-2 run prints exactly one ``error:`` line.
+    """
+    from lampwalk import cli
+
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["build", "--max-level", "5", "--mini-box-cap", "1", "--out", "m.lwc"]) == 0
+    assert cli.main(["sample", "m.lwc", "--n-traj", "1", "--horizon", "8",
+                     "--truncation-level", "1000", "--x-level-cap", "5"]) == 0
+    Path("set.txt").write_text("0|\n0|0\n1|\n")
+    readers = {
+        "m.lwc": ["inspect", "mutant"],
+        "out/trajectory-0000.csv": ["analyze", "mutant", "--construction", "m.lwc", "--out", "a.json"],
+        "set.txt": ["verify-switcher", "mutant", "2|"],
+    }
+    rng = random.Random(MUTATION_SEED)
+    bad = []
+    for source, argv in readers.items():
+        data = Path(source).read_bytes()
+        for n in range(MUTANTS_PER_FILE):
+            Path("mutant").write_bytes(_mutant(data, n % 4, rng))
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # an escape would end the CLI in a traceback
+                code = repr(exc)
+            out, err = capsys.readouterr()
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            failed_verdict = code == 1 and argv[0] == "verify-switcher" and '"passed": false' in out
+            clean = code == 0 or failed_verdict or (code == 2 and len(errors) == 1)
+            if not clean or "Traceback" in err:
+                bad.append((source, n, code, err))
+    assert not bad, bad[:5]
 
 
 def test_manifest_config_holds_every_setting(tmp_path, monkeypatch):

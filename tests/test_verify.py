@@ -4,10 +4,11 @@ import dataclasses
 
 import pytest
 
-from lampwalk import verify
+from lampwalk import sampling, verify
 from lampwalk.construction import Config, Construction
-from lampwalk.errors import ScheduleLimitError
-from lampwalk.groups import encode, inverse
+from lampwalk.errors import LampwalkError, ScheduleLimitError
+from lampwalk.groups import PRODUCT_IDENTITY, encode, inverse
+from lampwalk.sampling import KDistribution
 from lampwalk.tvbound import SparsePMF, exact_joint_pmf
 
 
@@ -77,6 +78,19 @@ def test_pmf_symmetry_fails_on_a_support_not_closed_under_inverse(mini_sym_small
     [(name, ok, detail)] = verify._check_pmf_symmetry(mini_sym_small)
     assert (name, ok) == ("pmf-symmetry", False)
     assert detail.startswith("the support misses the inverse of ")
+
+
+def test_a_non_unique_blue_parse_is_a_failing_row(mini_sym_small, monkeypatch):
+    # a switcher breach gives an increment two parses; pmf_eval reports it as
+    # a LampwalkError, which the suite turns into a failing row
+    monkeypatch.setattr(sampling, "_blue_parses", lambda c, k, g: [(None, None)] * 2)
+    kdist = KDistribution(truncation=1)
+    with pytest.raises(LampwalkError, match="blue parse not unique; switcher breach"):
+        sampling.pmf_eval(mini_sym_small, PRODUCT_IDENTITY, kdist)
+    rows = {name: (ok, detail) for name, ok, detail in verify.run_verification_suite(mini_sym_small)}
+    # a check that raises is reported under its function's name
+    assert rows["pmf_symmetry"] == (False, "blue parse not unique; switcher breach")
+    assert all(ok for name, (ok, _) in rows.items() if name != "pmf_symmetry")
 
 
 def test_loaded_file_is_verified_without_a_rebuild(tmp_path, monkeypatch):
