@@ -231,7 +231,17 @@ class _FactorMap:
 
 
 class WindowIndex:
-    """Exhaustive per-factor index of the level-i window forms."""
+    """Exhaustive per-factor index of the level-i window forms.
+
+    A slice's forms depend only on its part of the blue increment and on the
+    factor's q lists.  So when factor 2 has factor 1's q lists and each of
+    its parts is some factor-1 part, its map is factor 1's relabeled: slice
+    sid takes the forms of the first factor-1 slice with the same part.  The
+    result equals a direct build, dict order included.  This is the usual
+    case at the mini levels: the factors share b1, b2 and their A cores, so
+    the right part of slice (i1, i2, s) is the left part of (i2, i1, s).
+    Otherwise factor 2 is built directly.
+    """
 
     def __init__(self, c: Construction, i: int, prime: bool = False):
         self.construction = c
@@ -251,12 +261,21 @@ class WindowIndex:
             for s in self.sigmas
         ]
         mids = [lv.blue_increment(self.fs[i1], self.fs[i2], s) for i1, i2, s in self.slices]
-        self.factors = []
-        for j in (1, 2):
-            qa = c.a_power(j, i, e if prime else e + 1).sorted_elements()
-            qb = c.a_power(j, i, e).sorted_elements()
-            parts = [x.left if j == 1 else x.right for x in mids]
-            self.factors.append(self._build_factor(parts, qa, qb))
+        lefts = [x.left for x in mids]
+        rights = [x.right for x in mids]
+        qa1, qb1, qa2, qb2 = (
+            c.a_power(j, i, p).sorted_elements() for j in (1, 2) for p in (e if prime else e + 1, e)
+        )
+        first = self._build_factor(lefts, qa1, qb1)
+        source = {}  # factor-1 part -> its first slice id
+        for sid, part in enumerate(lefts):
+            source.setdefault(part, sid)
+        slice_map = [source.get(part) for part in rights]
+        if (qa2, qb2) == (qa1, qb1) and None not in slice_map:
+            second = self._relabel(first, slice_map)
+        else:
+            second = self._build_factor(rights, qa2, qb2)
+        self.factors = [first, second]
 
     @staticmethod
     def _build_factor(mids, qa_list, qb_list) -> _FactorMap:
@@ -275,6 +294,28 @@ class WindowIndex:
                 for code, form in enumerate(row(multiply(qa, mid)), (sid * na + ia) * nb):
                     setdefault(form, []).append(code)
         return _FactorMap(values, qa_list, qb_list)
+
+    @staticmethod
+    def _relabel(fm: _FactorMap, slice_map: list) -> _FactorMap:
+        """The factor map whose slice sid holds the forms of fm's slice
+        ``slice_map[sid]``, with fm's q lists.
+
+        fm's codes are inverted to their forms once; the new codes are then
+        walked in order, as ``_build_factor`` walks them, so the dict and
+        every code list come out in build order.
+        """
+        block = len(fm.qa_list) * len(fm.qb_list)
+        forms = [None] * (len(slice_map) * block)
+        for form, codes in fm.values.items():
+            for code in codes:
+                forms[code] = form
+        values = {}
+        setdefault = values.setdefault
+        for sid, src in enumerate(slice_map):
+            start = src * block
+            for code, form in enumerate(forms[start:start + block], sid * block):
+                setdefault(form, []).append(code)
+        return _FactorMap(values, fm.qa_list, fm.qb_list)
 
     # -- queries --
 

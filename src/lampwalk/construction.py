@@ -410,19 +410,31 @@ class Construction:
         against (core(A) u F u {b1})^p, with F and b1 symmetrized in
         symmetric mode and p = ``BRUTE_POWER``.  Lazy, so a caller can stop
         at the first failure.
+
+        A report depends only on b and on the set whose p-th power b is
+        checked against, so each distinct (b, set) is scanned once per
+        call.  A factor that asks for a pair an earlier factor asked for
+        yields its own row name with that factor's requirement set and
+        report.  At brute levels the two factors usually share b1, b2 and
+        their A cores, which halves the scans; a factor that differs in
+        either is scanned alone.
         """
         sym = self.mode == "symmetric"
         check = is_superswitcher if sym else is_switcher
         fbox = level.box().as_explicit(self.factor_group)
         if sym:
             fbox = symmetrize(fbox)
+        scans = {}  # (b, set) -> (requirement set, report)
         for j in (1, 2):
             fl = level.factor(j)
-            base = set(self.a_core(j, level.index)) | fbox.elements
+            base = fbox.elements.union(self.a_core(j, level.index))
             with_b1 = {fl.b1, inverse(fl.b1)} if sym else {fl.b1}
             for kind, b, elements in (("inner", fl.b1, base), ("outer", fl.b2, base | with_b1)):
-                req = power_set(explicit(self.factor_group, elements), BRUTE_POWER)
-                yield f"switcher-{kind}-L{level.index}j{j}", req, check(b, req)
+                scan = scans.get((b, elements))
+                if scan is None:
+                    req = power_set(explicit(self.factor_group, elements), BRUTE_POWER)
+                    scan = scans[b, elements] = req, check(b, req)
+                yield (f"switcher-{kind}-L{level.index}j{j}", *scan)
 
     def _brute_verify(self, level: Level) -> None:
         """Mini-schedule cross-check: analytic switchers vs materialized sets."""

@@ -39,7 +39,9 @@ def run_verification_suite(c: Construction) -> list:
         try:
             results.extend(check(arg))
         except LampwalkError as exc:
-            results.append((check.__name__.removeprefix("_check_"), False, str(exc)))
+            # hyphenated as the checks name their rows: pmf_symmetry -> pmf-symmetry
+            name = check.__name__.removeprefix("_check_").replace("_", "-")
+            results.append((name, False, str(exc)))
     return results
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from lampwalk.analysis import WindowIndex
 from lampwalk.construction import Config, Construction
 
 
@@ -36,3 +37,17 @@ def mini_sym_small():
 @pytest.fixture(scope="session")
 def paper_asym():
     yield from _built(Construction("asymmetric", "paper"), 3)
+
+
+@pytest.fixture
+def factor_builds(monkeypatch):
+    """The slice count of each direct ``WindowIndex._build_factor`` call."""
+    builds = []
+    build = WindowIndex._build_factor
+
+    def counted(mids, qa_list, qb_list):
+        builds.append(len(mids))
+        return build(mids, qa_list, qb_list)
+
+    monkeypatch.setattr(WindowIndex, "_build_factor", staticmethod(counted))
+    return builds

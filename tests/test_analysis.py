@@ -3,6 +3,7 @@
 import copy
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -512,6 +513,50 @@ def test_window_index_matches_the_elementwise_build(fixture, request):
                 assert fm.values.keys() == ref.keys()
                 for g, entries in ref.items():
                     assert [fm.decode(code) for code in fm.values[g]] == entries
+
+
+def _direct_items(c, index, j) -> list:
+    """Factor j's map built directly over its parts with the index's q lists."""
+    lv = c.level(index.level)
+    parts = [lv.blue_increment(index.fs[i1], index.fs[i2], s)[j] for i1, i2, s in index.slices]
+    fm = index.factors[j]
+    return list(index._build_factor(parts, fm.qa_list, fm.qb_list).values.items())
+
+
+@pytest.mark.parametrize("fixture", ["mini_asym", "mini_sym", "mini_asym_small", "mini_sym_small"])
+def test_relabeled_factor_equals_the_direct_build(fixture, request, factor_builds):
+    c = request.getfixturevalue(fixture)
+    for level in (1, 2):
+        for prime in (False, True):
+            index = analysis.WindowIndex(c, level, prime)
+            assert factor_builds == [len(index.slices)]  # factor 2 was relabeled
+            first, second = index.factors
+            assert (second.qa_list, second.qb_list) == (first.qa_list, first.qb_list)
+            assert list(second.values.items()) == _direct_items(c, index, 1)
+            factor_builds.clear()
+
+
+def test_a_factor_with_other_q_lists_or_parts_is_built_directly(factor_builds, monkeypatch):
+    c = Construction("asymmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+    c.build_to(2)
+    # factor 2's q2 ranges over A^2 instead of A: its qb list differs
+    a_power = Construction.a_power
+    with monkeypatch.context() as m:
+        m.setattr(c, "a_power", lambda j, i, p: a_power(c, j, i, 2 if j == 2 else p))
+        index = analysis.WindowIndex(c, 2)
+    first, second = index.factors
+    assert second.qa_list == first.qa_list and second.qb_list != first.qb_list
+    assert len(factor_builds) == 2
+    assert list(second.values.items()) == _direct_items(c, index, 1)
+    # factor 2 with its own outer switcher: its parts are no factor-1 parts
+    level = c.levels[1]
+    level.factors = (level.factor(1), replace(level.factor(2), b2=level.factor(1).b1))
+    factor_builds.clear()
+    index = analysis.WindowIndex(c, 2)
+    first, second = index.factors
+    assert (second.qa_list, second.qb_list) == (first.qa_list, first.qb_list)
+    assert len(factor_builds) == 2
+    assert list(second.values.items()) == _direct_items(c, index, 1)
 
 
 def _is_element(g) -> bool:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from lampwalk.construction import Config, Construction
+from lampwalk.construction import BRUTE_POWER, Config, Construction
 from lampwalk.errors import CorruptFileError, LampwalkError, ScheduleLimitError
 from lampwalk.groups import (
     LAMP_A,
@@ -28,6 +28,7 @@ from lampwalk.setalg import (
     certify_union,
     explicit,
     power_set,
+    symmetrize,
 )
 from lampwalk.switchers import analytic_switcher, is_superswitcher, is_switcher
 
@@ -102,6 +103,54 @@ def test_mini_brute_verification_at_build(mini_asym, mini_sym):
                             | {inverse(g) for g in box.elements})
             step3 = power_set(base, 2)
             assert check(lv.factor(j).b1, step3).passed
+
+
+def _reference_scans(c, level):
+    """``switcher_scans`` with one power set and one scan per row."""
+    sym = c.mode == "symmetric"
+    check = is_superswitcher if sym else is_switcher
+    box = level.box().as_explicit(LAMP)
+    fbox = symmetrize(box) if sym else box
+    for j in (1, 2):
+        fl = level.factor(j)
+        base = set(c.a_core(j, level.index)) | fbox.elements
+        with_b1 = {fl.b1, inverse(fl.b1)} if sym else {fl.b1}
+        for kind, b, elements in (("inner", fl.b1, base), ("outer", fl.b2, base | with_b1)):
+            req = power_set(explicit(LAMP, elements), BRUTE_POWER)
+            yield f"switcher-{kind}-L{level.index}j{j}", req, check(b, req)
+
+
+def _scan_rows(scans):
+    return [(name, len(req), rep.passed, rep.witness, rep.reason) for name, req, rep in scans]
+
+
+@pytest.mark.parametrize("fixture", ["mini_asym", "mini_sym", "mini_asym_small", "mini_sym_small"])
+def test_shared_switcher_scans_match_a_scan_per_factor(fixture, request):
+    c = request.getfixturevalue(fixture)
+    for lv in c.levels:
+        shared = list(c.switcher_scans(lv))
+        assert _scan_rows(shared) == _scan_rows(_reference_scans(c, lv))
+        assert all(rep.passed for _, _, rep in shared)
+        # both factors ask for the same (b, set) pairs here: factor 2 reuses
+        # factor 1's requirement sets and reports
+        for (_, req1, rep1), (_, req2, rep2) in zip(shared[:2], shared[2:]):
+            assert req2 is req1 and rep2 is rep1
+
+
+def test_a_factor_with_its_own_switcher_is_scanned_alone():
+    c = Construction("asymmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+    c.build_to(1)
+    level = c.levels[0]
+    # the identity is no switcher: e * b1 * e lands back in A
+    level.factors = (level.factor(1), replace(level.factor(2), b1=c.identity))
+    shared = list(c.switcher_scans(level))
+    assert _scan_rows(shared) == _scan_rows(_reference_scans(c, level))
+    rows = {name: rep for name, _, rep in shared}
+    assert rows["switcher-inner-L1j1"].passed and rows["switcher-outer-L1j1"].passed
+    assert not rows["switcher-inner-L1j2"].passed
+    assert rows["switcher-inner-L1j2"].candidate == c.identity
+    assert "lands back in A" in rows["switcher-inner-L1j2"].reason
+    assert len({id(rep) for rep in rows.values()}) == 4
 
 
 @pytest.mark.parametrize("cap", [0, 3])

@@ -12,7 +12,7 @@ from lampwalk.sampling import KDistribution
 from lampwalk.tvbound import SparsePMF, exact_joint_pmf
 
 
-def test_suite_builds_each_window_index_once(mini_sym_small, monkeypatch):
+def test_suite_builds_each_window_index_once(mini_sym_small, monkeypatch, factor_builds):
     indexes = {}
 
     class CountingOracle(verify.WindowOracle):
@@ -27,6 +27,8 @@ def test_suite_builds_each_window_index_once(mini_sym_small, monkeypatch):
     assert sorted(indexes) == [(1, False), (2, False)]
     for key, returned in indexes.items():
         assert len({id(x) for x in returned}) == 1, key
+    # one factor map built per level; the other factor's is relabeled from it
+    assert len(factor_builds) == len(indexes)
     assert [(name, ok) for name, ok, _ in results] == [
         ("deterministic-rebuild", True),
         ("core-nesting-j1", True),
@@ -88,9 +90,9 @@ def test_a_non_unique_blue_parse_is_a_failing_row(mini_sym_small, monkeypatch):
     with pytest.raises(LampwalkError, match="blue parse not unique; switcher breach"):
         sampling.pmf_eval(mini_sym_small, PRODUCT_IDENTITY, kdist)
     rows = {name: (ok, detail) for name, ok, detail in verify.run_verification_suite(mini_sym_small)}
-    # a check that raises is reported under its function's name
-    assert rows["pmf_symmetry"] == (False, "blue parse not unique; switcher breach")
-    assert all(ok for name, (ok, _) in rows.items() if name != "pmf_symmetry")
+    # a check that raises is reported under the name its own rows carry
+    assert rows["pmf-symmetry"] == (False, "blue parse not unique; switcher breach")
+    assert all(ok for name, (ok, _) in rows.items() if name != "pmf-symmetry")
 
 
 def test_loaded_file_is_verified_without_a_rebuild(tmp_path, monkeypatch):
