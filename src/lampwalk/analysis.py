@@ -27,7 +27,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .construction import Construction
@@ -216,12 +218,47 @@ def _assert_window_membership(c: Construction, level: int, q1, m: int) -> None:
 
 @dataclass
 class _FactorMap:
-    # form -> entry codes (sid * |qa| + ia) * |qb| + ib, in build order; a form
-    # is stored as the plain (lamps, cursor) tuple the row kernel made, and
-    # leaves the index only rebuilt as an element
+    """One factor's forms, each stored once.
+
+    ``values`` interns the distinct forms, as form -> id with ids in order of
+    first occurrence; a form is the plain (lamps, cursor) tuple the row
+    kernel made, and leaves the index only rebuilt as an element.
+    ``ids[code]`` is the form id of entry code (sid * |qa| + ia) * |qb| + ib.
+    A factor relabeled by a permutation of slices shares its source's dict.
+    """
+
     values: dict
+    ids: array
     qa_list: list
     qb_list: list
+
+    @classmethod
+    def interned(cls, forms, qa_list: list, qb_list: list) -> "_FactorMap":
+        """The map of ``forms``, listed in code order."""
+        values = {}
+        intern, size = values.setdefault, values.__len__
+        return cls(values, array("i", [intern(form, size()) for form in forms]), qa_list, qb_list)
+
+    @cached_property
+    def _grouped(self) -> tuple:
+        """(by_form, starts): the codes grouped by form id, ascending within
+        a form, and where each form's codes start.  Built by the first query
+        that reads codes by form; ``certify_unique`` reads slices instead."""
+        keys = self.ids.tolist()
+        counts = [0] * len(self.values)
+        for f in keys:
+            counts[f] += 1
+        by_form = array("i", sorted(range(len(keys)), key=keys.__getitem__))
+        return by_form, array("i", itertools.accumulate(counts, initial=0))
+
+    def codes(self, f: int) -> array:
+        """The codes of form id f, ascending."""
+        by_form, starts = self._grouped
+        return by_form[starts[f]:starts[f + 1]]
+
+    def first_seen(self):
+        """The form ids in order of first occurrence in this factor."""
+        return dict.fromkeys(self.ids)
 
     def decode(self, code: int) -> tuple:
         """The (slice id, qa index, qb index) of an entry code."""
@@ -229,18 +266,67 @@ class _FactorMap:
         sid, ia = divmod(rest, len(self.qa_list))
         return sid, ia, ib
 
+    def read_slices(self) -> tuple:
+        """(slices in which a form repeats, pairs s < t of slices that share a form).
+
+        Each slice is read as the set of its form ids, and ``first`` maps a
+        form to the first slice that holds it, so a slice meets the first
+        slice of every form it shares with an earlier slice.  Two later
+        slices of one form both meet that form's first slice; such pairs are
+        checked set against set.
+        """
+        block = len(self.qa_list) * len(self.qb_list)
+
+        def forms(sid):
+            return self.ids[sid * block:(sid + 1) * block]
+
+        repeats, meets, first = [], set(), {}
+        for sid in range(len(self.ids) // block):
+            seen = set(forms(sid))
+            if len(seen) < block:
+                repeats.append(sid)
+            common = first.keys() & seen
+            meets.update(zip(map(first.__getitem__, common), itertools.repeat(sid)))
+            first.update(dict.fromkeys(seen - common, sid))
+        partners = {}  # slice -> the later slices that meet it
+        for s, t in sorted(meets):
+            partners.setdefault(s, []).append(t)
+        for later in partners.values():
+            for pair in itertools.combinations(later, 2):
+                if pair not in meets and not set(forms(pair[0])).isdisjoint(forms(pair[1])):
+                    meets.add(pair)
+        return repeats, meets
+
+    def repeat_witnesses(self, sids: list) -> list:
+        """(form, slice id, its first two (qa, qb) choices) for each form that
+        repeats inside one of the slices ``sids``, in order of the form's
+        first occurrence, then by slice."""
+        block = len(self.qa_list) * len(self.qb_list)
+        rank = {f: r for r, f in enumerate(self.first_seen())}
+        found = []
+        for sid in sids:
+            per_form = {}
+            for code in range(sid * block, (sid + 1) * block):
+                per_form.setdefault(self.ids[code], []).append(code)
+            found += [(rank[f], sid, f, [self.decode(code)[1:] for code in codes[:2]])
+                      for f, codes in per_form.items() if len(codes) > 1]
+        forms = list(self.values)
+        return [(_lamp(*forms[f]), sid, qs) for _, sid, f, qs in sorted(found)]
+
 
 class WindowIndex:
     """Exhaustive per-factor index of the level-i window forms.
 
-    A slice's forms depend only on its part of the blue increment and on the
-    factor's q lists.  So when factor 2 has factor 1's q lists and each of
-    its parts is some factor-1 part, its map is factor 1's relabeled: slice
-    sid takes the forms of the first factor-1 slice with the same part.  The
-    result equals a direct build, dict order included.  This is the usual
-    case at the mini levels: the factors share b1, b2 and their A cores, so
-    the right part of slice (i1, i2, s) is the left part of (i2, i1, s).
-    Otherwise factor 2 is built directly.
+    Each factor stores every distinct form once and one int per entry code
+    (see ``_FactorMap``).  A slice's forms depend only on its part of the
+    blue increment and on the factor's q lists.  So when factor 2 has
+    factor 1's q lists and each of its parts is some factor-1 part, its map
+    is factor 1's relabeled: slice sid takes the forms of the first factor-1
+    slice with the same part.  The result equals a direct build.  This is
+    the usual case at the mini levels: the factors share b1, b2 and their A
+    cores, so the right part of slice (i1, i2, s) is the left part of
+    (i2, i1, s), and the slices are permuted, so the two factors share one
+    form dict.  Otherwise factor 2 is built directly.
     """
 
     def __init__(self, c: Construction, i: int, prime: bool = False):
@@ -285,37 +371,26 @@ class WindowIndex:
         multiplies it by every qb, shifting qb's lamps once per distinct left
         cursor.
         """
-        values = {}
-        setdefault = values.setdefault
         row = _product_row(qb_list)
-        na, nb = len(qa_list), len(qb_list)
-        for sid, mid in enumerate(mids):
-            for ia, qa in enumerate(qa_list):
-                for code, form in enumerate(row(multiply(qa, mid)), (sid * na + ia) * nb):
-                    setdefault(form, []).append(code)
-        return _FactorMap(values, qa_list, qb_list)
+        rows = (row(multiply(qa, mid)) for mid in mids for qa in qa_list)
+        return _FactorMap.interned(itertools.chain.from_iterable(rows), qa_list, qb_list)
 
     @staticmethod
     def _relabel(fm: _FactorMap, slice_map: list) -> _FactorMap:
         """The factor map whose slice sid holds the forms of fm's slice
-        ``slice_map[sid]``, with fm's q lists.
+        ``slice_map[sid]``, with fm's q lists: fm's id blocks, concatenated.
 
-        fm's codes are inverted to their forms once; the new codes are then
-        walked in order, as ``_build_factor`` walks them, so the dict and
-        every code list come out in build order.
+        A permutation of the slices keeps the set of forms, so fm's dict
+        serves; otherwise the forms are interned again in the new code order.
         """
         block = len(fm.qa_list) * len(fm.qb_list)
-        forms = [None] * (len(slice_map) * block)
-        for form, codes in fm.values.items():
-            for code in codes:
-                forms[code] = form
-        values = {}
-        setdefault = values.setdefault
-        for sid, src in enumerate(slice_map):
-            start = src * block
-            for code, form in enumerate(forms[start:start + block], sid * block):
-                setdefault(form, []).append(code)
-        return _FactorMap(values, fm.qa_list, fm.qb_list)
+        ids = array("i")
+        for src in slice_map:
+            ids += fm.ids[src * block:(src + 1) * block]
+        if sorted(slice_map) == list(range(len(slice_map))):
+            return _FactorMap(fm.values, ids, fm.qa_list, fm.qb_list)
+        forms = list(fm.values)
+        return _FactorMap.interned(map(forms.__getitem__, ids), fm.qa_list, fm.qb_list)
 
     # -- queries --
 
@@ -323,16 +398,16 @@ class WindowIndex:
         if not isinstance(g, ProductElement):
             return []
         f1, f2 = self.factors
-        c1 = f1.values.get(g.left)
-        c2 = f2.values.get(g.right)
-        if not c1 or not c2:
+        id1 = f1.values.get(g.left)
+        id2 = f2.values.get(g.right)
+        if id1 is None or id2 is None:
             return []
         by_slice = {}
-        for code in c1:
+        for code in f1.codes(id1):
             sid, ia, ib = f1.decode(code)
             by_slice.setdefault(sid, []).append((ia, ib))
         out = []
-        for code in c2:
+        for code in f2.codes(id2):
             sid, ia2, ib2 = f2.decode(code)
             for ia1, ib1 in by_slice.get(sid, ()):
                 i1, i2, s = self.slices[sid]
@@ -357,53 +432,37 @@ class WindowIndex:
 
         Joint multiplicity arises either from a same-slice collision inside
         one factor, or from a pair of slices whose factor-1 images and
-        factor-2 images both intersect.  Both are checked exhaustively; the
-        joint set itself is never materialized.
+        factor-2 images both intersect.  Both are checked exhaustively, over
+        each factor's slices read as sets of form ids; the joint set itself
+        is never materialized.
         """
-        pair_witnesses = []
-        cross = [set(), set()]
-        for fi, fm in enumerate(self.factors):
-            block = len(fm.qa_list) * len(fm.qb_list)  # codes per slice
-            for g, codes in fm.values.items():
-                if len(codes) == 1:
-                    continue
-                if len(codes) == 2:  # most forms: one slice pair, no set or sort
-                    sa, sb = codes[0] // block, codes[1] // block
-                    if sa != sb:
-                        cross[fi].add((sa, sb) if sa < sb else (sb, sa))
-                        continue
-                sids = sorted({code // block for code in codes})
-                if len(sids) < len(codes):  # a slice repeats: group its q-choices
-                    per_slice = {}
-                    for code in codes:
-                        sid, ia, ib = fm.decode(code)
-                        per_slice.setdefault(sid, []).append((ia, ib))
-                    for sid, qs in per_slice.items():
-                        if len(qs) > 1:
-                            pair_witnesses.append((_lamp(*g), sid, qs[:2]))
-                if len(sids) > 1:
-                    cross[fi].update(itertools.combinations(sids, 2))
-            if pair_witnesses:
-                return False, pair_witnesses
+        cross = []
+        for fm in self.factors:
+            repeats, meets = fm.read_slices()
+            if repeats:
+                return False, fm.repeat_witnesses(repeats)
+            cross.append(meets)
         both = cross[0] & cross[1]
         if both:
             return False, sorted(both)
         return True, []
 
     def iter_elements(self, limit: Optional[int] = None):
-        """Joint window forms, one per (slice, q-choice) tuple combination."""
+        """Joint window forms, one per (slice, q-choice) tuple combination,
+        in factor 1's order of first occurrence."""
         count = 0
         f0, f1 = self.factors
         block0 = len(f0.qa_list) * len(f0.qb_list)
         block1 = len(f1.qa_list) * len(f1.qb_list)
+        forms0, forms1 = list(f0.values), list(f1.values)
         rev = {}
-        for g2, codes in f1.values.items():
-            g2 = _lamp(*g2)
-            for code in codes:
+        for f in f1.first_seen():
+            g2 = _lamp(*forms1[f])
+            for code in f1.codes(f):
                 rev.setdefault(code // block1, []).append(g2)
-        for g1, codes in f0.values.items():
-            g1 = _lamp(*g1)
-            for code in codes:
+        for f in f0.first_seen():
+            g1 = _lamp(*forms0[f])
+            for code in f0.codes(f):
                 for g2 in rev.get(code // block0, ()):
                     yield ProductElement(g1, g2)
                     count += 1

@@ -411,13 +411,15 @@ class Construction:
         symmetric mode and p = ``BRUTE_POWER``.  Lazy, so a caller can stop
         at the first failure.
 
-        A report depends only on b and on the set whose p-th power b is
-        checked against, so each distinct (b, set) is scanned once per
-        call.  A factor that asks for a pair an earlier factor asked for
-        yields its own row name with that factor's requirement set and
-        report.  At brute levels the two factors usually share b1, b2 and
-        their A cores, which halves the scans; a factor that differs in
-        either is scanned alone.
+        Each scan checks one product-cursor bucket at a time and drops its
+        collision table before the next (see ``switchers``), so it holds one
+        bucket's products, not the whole scan's.  A report depends only on
+        b and on the set whose p-th power b is checked against, so each
+        distinct (b, set) is scanned once per call.  A factor that asks for
+        a pair an earlier factor asked for yields its own row name with that
+        factor's requirement set and report.  At brute levels the two
+        factors usually share b1, b2 and their A cores, which halves the
+        scans; a factor that differs in either is scanned alone.
         """
         sym = self.mode == "symmetric"
         check = is_superswitcher if sym else is_switcher
@@ -482,7 +484,8 @@ class Construction:
 
         Uses built cores first, then the enumeration chain: the component
         c(j,i) enters A(j,i+1), so membership is known far beyond the built
-        levels without any box data.
+        levels without any box data.  The enumeration keeps each component's
+        first index as it grows, so the chain is read by lookup, not scan.
         """
         pos = self._core_index[j - 1].get(g)
         if pos is not None:
@@ -491,11 +494,9 @@ class Construction:
             i = bisect_right(self._a_states, pos, key=lambda st: st[j - 1].core_len)
             if i < len(self._a_states):
                 return i + 1
-        for idx in range(MEMBERSHIP_SCAN_CAP):
-            pair = self._enum.element(idx)
-            comp = pair.left if j == 1 else pair.right
-            if comp == g:
-                return idx + 2  # pair index idx+1 feeds level idx+1 -> A(j, idx+2)
+        idx = self._enum.first_component_index(j, g, MEMBERSHIP_SCAN_CAP)
+        if idx is not None:
+            return idx + 2  # pair index idx+1 feeds level idx+1 -> A(j, idx+2)
         raise MembershipError(
             f"{encode(g)} not located in any A({j},i) within the scan cap"
         )

@@ -29,7 +29,7 @@ import re
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import GroupMismatchError, ParseError, SizeCapError
 
@@ -119,7 +119,7 @@ def _product_row(rights: list) -> Callable[[Element], Iterable]:
     so a scan that stops early skips the rest of the row.
     """
     if not all(type(r) is LamplighterElement for r in rights):
-        return lambda left: (multiply(left, r) for r in rights)
+        return lambda left: map(left.__mul__, rights)
     shifted = {}  # left cursor -> [(right lamps shifted by it, product cursor)]
 
     def row(left):
@@ -436,21 +436,44 @@ def enumerate_elements(g: GroupDescriptor, n: int) -> list[Element]:
 
 
 class LazyEnumeration:
-    """Cache of the breadth-first enumeration, extended on demand."""
+    """Cache of the breadth-first enumeration, extended on demand.
+
+    For a product group each layer also enters, per factor, every component
+    not seen before with its first index, so a component's first index is a
+    lookup instead of a scan.
+    """
 
     def __init__(self, g: GroupDescriptor):
         self.group = g
         self._layers = _bfs_layers(g)
         self._cache: list[Element] = []
+        self._first = ({}, {}) if g.kind == "product" else None
+
+    def _extend(self) -> None:
+        layer = next(self._layers)
+        if not layer:
+            raise IndexError(f"group exhausted after {len(self._cache)} elements")
+        if self._first is not None:
+            lefts, rights = self._first
+            for idx, (left, right) in enumerate(layer, len(self._cache)):
+                lefts.setdefault(left, idx)
+                rights.setdefault(right, idx)
+        self._cache.extend(layer)
 
     def element(self, index: int) -> Element:
         """0-based index into the enumeration."""
         while len(self._cache) <= index:
-            layer = next(self._layers)
-            if not layer:
-                raise IndexError(f"group exhausted before index {index}")
-            self._cache.extend(layer)
+            self._extend()
         return self._cache[index]
+
+    def first_component_index(self, j: int, g: Element, bound: int) -> Optional[int]:
+        """Smallest 0-based index below ``bound`` whose element has g as
+        component j (1 or 2) of a product group, else None."""
+        first = self._first[j - 1]
+        while g not in first and len(self._cache) < bound:
+            self._extend()
+        idx = first.get(g)
+        return idx if idx is not None and idx < bound else None
 
 
 def word_ball(g: GroupDescriptor, r: int, size_cap: int = 1_000_000) -> set[Element]:

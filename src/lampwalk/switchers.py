@@ -16,16 +16,24 @@ any product in A b^{+1} A sits in [N-2M, N+2M], which misses [-M, M] and
 
 Both brute checks are one scan over the triples (s, a1, a2), indexed
 (s * |A| + i1) * |A| + i2 in sign order, then A's sorted order; a switcher is
-the one-sign case.  groups' row kernel builds each row a1 b^s A as plain
-(lamps, cursor) tuples, only products on a cursor of A are looked up in A,
-and the collision table maps a product to its first triple's int index,
-which becomes elements only in a witness.
+the one-sign case.  A failure is the lowest-index triple whose product lies in A
+or repeats an earlier triple's product.  Two products with different cursors
+differ, so lamplighter triples are checked one product-cursor bucket at a
+time: A's elements are grouped by cursor, each group with its own row kernel
+from groups, and a bucket holds the triples whose a1 * b^s and a2 cursors add
+up to its cursor.  Each bucket is visited in increasing index order with its
+own collision table (product -> first triple index), which is dropped before
+the next bucket; products are looked up in A only in buckets on a cursor of A.
+A bucket stops at the lowest failing index found so far, and the scan reports
+the minimum over all buckets, which is the triple a single pass would stop at.
+Other group kinds form one bucket.  Triples become elements only in a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Optional
 
 from .groups import (
@@ -59,8 +67,9 @@ class SwitcherReport:
 def is_switcher(b: Element, a: ExplicitSet) -> SwitcherReport:
     """Exhaustive pair scan of both switcher conditions; fails with a witness.
 
-    One pass over A x A checks the disjointness clause and the injectivity
-    clause together and exits at the first counterexample of either kind.
+    One scan over A x A checks the disjointness clause and the injectivity
+    clause together and reports the first counterexample of either kind in
+    pair order.
     """
     return _scan(b, a, "switcher", (b,))
 
@@ -79,18 +88,59 @@ def _scan(b: Element, a: ExplicitSet, kind: str, powers: tuple) -> SwitcherRepor
     """The one brute scan over A x powers x A; the module docstring has its layout."""
     elems = a.sorted_elements()
     n = len(elems)
-    cursors = {x[1] for x in elems}
-    row = _product_row(elems)
-    setdefault = {}.setdefault  # the collision table: product -> first triple index
-    for si, bb in enumerate(powers):
-        for i1, a1 in enumerate(elems):
-            for i, prod in enumerate(row(multiply(a1, bb)), (si * n + i1) * n):
-                if prod[1] in cursors and prod in a.elements:
-                    return _failure(b, kind, elems, i)
-                j = setdefault(prod, i)
-                if j != i:
-                    return _failure(b, kind, elems, i, j)
-    return SwitcherReport(b, kind, True, "brute", f"explicit set of {n} elements")
+    found = None  # (i, j) of the lowest failing triple so far
+    for members, in_a in _buckets(a, elems, powers):
+        hit = _scan_bucket(members, n, in_a, found[0] if found else len(powers) * n * n)
+        if hit is not None and (found is None or hit[0] < found[0]):
+            found = hit
+    if found is None:
+        return SwitcherReport(b, kind, True, "brute", f"explicit set of {n} elements")
+    return _failure(b, kind, elems, *found)
+
+
+def _buckets(a: ExplicitSet, elems: list, powers: tuple) -> list:
+    """The scan's buckets as (members, A or None).
+
+    Members are (k, a1 * b^s, (right indices, row kernel)) in increasing
+    k = s * |A| + i1.  A bucket carries A when one of its products can lie
+    in A.  A lamplighter bucket pairs each left with the group of A's
+    elements on the one cursor that puts the product on the bucket's
+    cursor.  Other kinds form one bucket whose lefts are formed lazily, so a
+    scan that fails early skips the rest.
+    """
+    pairs = enumerate(product(powers, elems))
+    if a.group.kind != "lamplighter":
+        rights = (range(len(elems)), _product_row(elems))
+        return [(((k, multiply(a1, bb), rights) for k, (bb, a1) in pairs), a.elements)]
+    by_cursor = {}  # cursor -> indices of A's elements on it
+    for i2, r in enumerate(elems):
+        by_cursor.setdefault(r[1], []).append(i2)
+    groups = [(c, (i2s, _product_row([elems[i] for i in i2s]))) for c, i2s in by_cursor.items()]
+    buckets = {}  # product cursor -> members
+    for k, (bb, a1) in pairs:
+        left = multiply(a1, bb)
+        for c, rights in groups:
+            buckets.setdefault(left[1] + c, []).append((k, left, rights))
+    return [(members, a.elements if p in by_cursor else None) for p, members in buckets.items()]
+
+
+def _scan_bucket(members, n: int, in_a, limit: int) -> Optional[tuple]:
+    """First failing triple (i, j) of one bucket, or None once the bucket
+    passes or reaches index ``limit``: the product of triple i lies in A
+    (j is None), or repeats the product of triple j."""
+    setdefault = {}.setdefault  # the bucket's collision table: product -> first triple index
+    for k, left, (i2s, row) in members:
+        base = k * n
+        if base >= limit:
+            return None
+        for i2, prod in zip(i2s, row(left)):
+            i = base + i2
+            if in_a is not None and prod in in_a:
+                return i, None
+            j = setdefault(prod, i)
+            if j != i:
+                return i, j
+    return None
 
 
 def _failure(b: Element, kind: str, elems: list, i: int, j: Optional[int] = None) -> SwitcherReport:

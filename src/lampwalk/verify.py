@@ -93,10 +93,20 @@ def _check_switchers(c: Construction):
         for name, req, rep in c.switcher_scans(level):
             out.append((
                 name, rep.passed,
-                f"brute scan over {len(req)}^2 pairs"
+                f"brute scan over {_scanned(len(req), rep)}"
                 + ("" if rep.passed else f"; witness {rep.witness}"),
             ))
     return out
+
+
+def _scanned(n: int, rep) -> str:
+    """What a brute scan of rep's kind covers on a set of n elements: the
+    pairs (a1, a2), or the triples (a1, s, a2), one sign when b = b^-1."""
+    if rep.kind == "switcher":
+        return f"{n}^2 pairs"
+    if rep.candidate == inverse(rep.candidate):
+        return f"{n}^2 triples (b = b^-1)"
+    return f"2*{n}^2 triples"
 
 
 def _window_levels(c: Construction):

@@ -3,6 +3,8 @@
 import copy
 import itertools
 import random
+import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -511,16 +513,29 @@ def test_window_index_matches_the_elementwise_build(fixture, request):
             for j, fm in enumerate(index.factors):
                 ref = _reference_factor([x[j] for x in mids], fm.qa_list, fm.qb_list)
                 assert fm.values.keys() == ref.keys()
+                if j == 0:  # factor 1 numbers its forms in order of first occurrence
+                    assert list(fm.values) == list(ref)
                 for g, entries in ref.items():
-                    assert [fm.decode(code) for code in fm.values[g]] == entries
+                    assert [fm.decode(code) for code in fm.codes(fm.values[g])] == entries
 
 
-def _direct_items(c, index, j) -> list:
-    """Factor j's map built directly over its parts with the index's q lists."""
+def _code_forms(fm) -> list:
+    """The form of each entry code, in code order: what a factor map stores."""
+    forms = list(fm.values)
+    return [forms[f] for f in fm.ids]
+
+
+def _assert_direct_build(c, index, j) -> None:
+    """Factor j equals its map built directly over its parts with the
+    index's q lists: the same form at every code, and a dict of its forms."""
     lv = c.level(index.level)
     parts = [lv.blue_increment(index.fs[i1], index.fs[i2], s)[j] for i1, i2, s in index.slices]
     fm = index.factors[j]
-    return list(index._build_factor(parts, fm.qa_list, fm.qb_list).values.items())
+    direct = index._build_factor(parts, fm.qa_list, fm.qb_list)
+    assert _code_forms(fm) == _code_forms(direct)
+    assert fm.values.keys() == direct.values.keys()
+    for g, f in direct.values.items():
+        assert fm.codes(fm.values[g]) == direct.codes(f)
 
 
 @pytest.mark.parametrize("fixture", ["mini_asym", "mini_sym", "mini_asym_small", "mini_sym_small"])
@@ -532,8 +547,24 @@ def test_relabeled_factor_equals_the_direct_build(fixture, request, factor_build
             assert factor_builds == [len(index.slices)]  # factor 2 was relabeled
             first, second = index.factors
             assert (second.qa_list, second.qb_list) == (first.qa_list, first.qb_list)
-            assert list(second.values.items()) == _direct_items(c, index, 1)
+            _assert_direct_build(c, index, 1)
+            # the slices are permuted, so factor 2 keeps factor 1's forms
+            assert second.values is first.values
             factor_builds.clear()
+
+
+def test_a_relabel_that_repeats_slices_interns_its_own_forms(mini_sym_small):
+    index = WindowOracle(mini_sym_small).index(2)
+    first = index.factors[0]
+    lv = mini_sym_small.level(2)
+    parts = [lv.blue_increment(index.fs[i1], index.fs[i2], s).left for i1, i2, s in index.slices]
+    slice_map = [sid // 2 for sid in range(len(parts))]  # slices 0, 0, 1, 1, ...
+    relabeled = analysis.WindowIndex._relabel(first, slice_map)
+    direct = index._build_factor([parts[src] for src in slice_map], first.qa_list, first.qb_list)
+    assert relabeled.values is not first.values
+    assert list(relabeled.values.items()) == list(direct.values.items())
+    assert relabeled.ids == direct.ids
+    assert len(relabeled.values) < len(first.values)
 
 
 def test_a_factor_with_other_q_lists_or_parts_is_built_directly(factor_builds, monkeypatch):
@@ -547,7 +578,7 @@ def test_a_factor_with_other_q_lists_or_parts_is_built_directly(factor_builds, m
     first, second = index.factors
     assert second.qa_list == first.qa_list and second.qb_list != first.qb_list
     assert len(factor_builds) == 2
-    assert list(second.values.items()) == _direct_items(c, index, 1)
+    _assert_direct_build(c, index, 1)
     # factor 2 with its own outer switcher: its parts are no factor-1 parts
     level = c.levels[1]
     level.factors = (level.factor(1), replace(level.factor(2), b2=level.factor(1).b1))
@@ -556,7 +587,7 @@ def test_a_factor_with_other_q_lists_or_parts_is_built_directly(factor_builds, m
     first, second = index.factors
     assert (second.qa_list, second.qb_list) == (first.qa_list, first.qb_list)
     assert len(factor_builds) == 2
-    assert list(second.values.items()) == _direct_items(c, index, 1)
+    _assert_direct_build(c, index, 1)
 
 
 def _is_element(g) -> bool:
@@ -590,29 +621,34 @@ def test_only_elements_leave_the_window_index(fixture, request):
 
 def _planted(index, values1, values2):
     """A copy of ``index`` whose two factor maps hold the given (slice id, qa
-    index, qb index) entries, written as the int codes a build stores, over
-    three qa and three qb choices."""
+    index, qb index) entries over seven slices of three qa and three qb
+    choices, stored as a build stores them; every other entry code gets a
+    form of its own, which no planted form equals."""
     planted = copy.copy(index)
     qs = [LAMP_A] * 3
-    planted.factors = [
-        analysis._FactorMap(
-            {g: [(sid * len(qs) + ia) * len(qs) + ib for sid, ia, ib in entries]
-             for g, entries in values.items()},
-            qs,
-            qs,
-        )
-        for values in (values1, values2)
-    ]
+
+    def factor(values):
+        forms = [("unplanted", code) for code in range(7 * len(qs) * len(qs))]
+        for g, entries in values.items():
+            for sid, ia, ib in entries:
+                forms[(sid * len(qs) + ia) * len(qs) + ib] = g
+        return analysis._FactorMap.interned(forms, qs, qs)
+
+    planted.factors = [factor(values1), factor(values2)]
     return planted
 
 
 def _reference_certify_unique(index):
-    """``certify_unique`` with one set, sort and pair loop per multi-entry form."""
+    """``certify_unique`` with one set, sort and pair loop per multi-entry
+    form, over each factor's form -> [codes] dict in code order."""
     pair_witnesses = []
     cross = [set(), set()]
     for fi, fm in enumerate(index.factors):
         block = len(fm.qa_list) * len(fm.qb_list)
-        for g, codes in fm.values.items():
+        values = {}
+        for code, g in enumerate(_code_forms(fm)):
+            values.setdefault(g, []).append(code)
+        for g, codes in values.items():
             if len(codes) == 1:
                 continue
             sids = sorted({code // block for code in codes})
@@ -654,6 +690,46 @@ def test_certify_unique_reports_planted_collisions(mini_asym_small):
     assert _planted(index, f1, f2).certify_unique() == (False, [(0, 3), (1, 5)])
     # slices that meet in one factor only are no collision
     assert _planted(index, f1, {Z: [(2, 1, 0), (4, 0, 0)]}).certify_unique() == (True, [])
+    # K lies in slices 1, 3 and 5 of factor 1, so its later slices 3 and 5 meet as well
+    later = {Y: [(3, 0, 0), (5, 2, 1)]}
+    assert _planted(index, f1, later).certify_unique() == (False, [(3, 5)])
+
+
+def test_witnesses_of_a_factor_sharing_a_dict_come_in_its_own_order(mini_asym_small):
+    # factor 2 shares factor 1's dict, where G has a lower id than H; in
+    # factor 2, H repeats in slice 0 and G in slice 1, so H comes first
+    index = WindowOracle(mini_asym_small).index(1)
+    planted = _planted(index, {G: [(0, 0, 0), (1, 0, 0)], H: [(2, 0, 0), (3, 0, 0)]}, {})
+    first = planted.factors[0]
+    ids = array("i", first.ids)
+    for code, src in ((0, 18), (3, 27), (9, 0), (12, 9), (18, 3), (27, 12)):  # codes as (sid * 3 + ia) * 3 + ib
+        ids[code] = first.ids[src]
+    planted.factors[1] = analysis._FactorMap(first.values, ids, first.qa_list, first.qb_list)
+    assert first.values[G] < first.values[H]
+    want = (False, [(H, 0, [(0, 0), (1, 0)]), (G, 1, [(0, 0), (1, 0)])])
+    assert planted.certify_unique() == _reference_certify_unique(planted) == want
+
+
+def test_window_index_footprint():
+    # symmetric mini level 2: 105,280 distinct forms per factor and 204,544
+    # codes each.  Factor 2's slices are factor 1's permuted, so both share
+    # one form dict.  A form's tuples take about 190 bytes, its dict entry
+    # and id about 80; a code takes 4 bytes in ``ids`` and 4 in ``by_form``.
+    # A form -> [codes] dict per factor retained 61.5 MB.
+    c = Construction("symmetric", "mini", Config(brute_verify=False))
+    c.build_to(2)
+    tracemalloc.start()
+    try:
+        index = analysis.WindowIndex(c, 2)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    first, second = index.factors
+    forms = len(first.values)
+    codes = sum(len(index.slices) * len(fm.qa_list) * len(fm.qb_list) for fm in index.factors)
+    assert (forms, codes) == (105_280, 409_088)
+    assert retained <= 320 * forms + 16 * codes
+    assert second.values is first.values
 
 
 def test_certify_unique_matches_the_reference_loop(mini_sym, mini_asym_small):
@@ -667,7 +743,8 @@ def test_certify_unique_matches_the_reference_loop(mini_sym, mini_asym_small):
     f1 = {G: [(3, 0, 0), (0, 0, 0)], K: [(5, 0, 0), (1, 0, 0), (3, 1, 1)], M: [(2, 0, 0)]}
     f2 = {X: [(0, 0, 0), (3, 0, 0)], Y: [(1, 0, 0), (5, 0, 0)], Z: [(2, 1, 0), (4, 0, 0)]}
     pair = {X: [(6, 2, 2), (6, 0, 1)], Y: [(4, 0, 0), (1, 1, 1)]}
-    for values1, values2 in ((same, {}), ({}, pair), (f1, f2), (f2, f1), (f1, pair), (pair, f2)):
+    later = {Y: [(3, 0, 0), (5, 2, 1)]}
+    for values1, values2 in ((same, {}), ({}, pair), (f1, f2), (f2, f1), (f1, pair), (pair, f2), (f1, later)):
         planted = _planted(index, values1, values2)
         assert planted.certify_unique() == _reference_certify_unique(planted)
 

@@ -153,6 +153,29 @@ def test_a_factor_with_its_own_switcher_is_scanned_alone():
     assert len({id(rep) for rep in rows.values()}) == 4
 
 
+def test_switcher_scans_footprint():
+    # symmetric mini level 2 scans 2*290^2 and 2*402^2 triples.  A collision
+    # table over a whole scan holds a product and a dict entry per triple,
+    # about 240 bytes: it peaked at 78.5 MB.  One product-cursor bucket holds
+    # at most 9,256 triples; the scan also keeps each bucket's members and the
+    # row kernels' shifted lamps, and the rows keep the requirement sets.
+    # 50 bytes per triple of the largest scan leaves room for those, not for
+    # a table over the scan.
+    c = Construction("symmetric", "mini", Config(brute_verify=False))
+    c.build_to(2)
+    level = c.level(2)
+    tracemalloc.start()
+    try:
+        rows = list(c.switcher_scans(level))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed for _, _, rep in rows)
+    largest = max(len(req) for _, req, _ in rows)
+    assert largest == 402
+    assert peak <= 50 * 2 * largest ** 2
+
+
 @pytest.mark.parametrize("cap", [0, 3])
 def test_mini_box_cap_out_of_range_rejected(cap):
     with pytest.raises(ValueError, match="mini box cap"):
@@ -222,6 +245,23 @@ def _assert_bisect_matches_the_scan(c):
         assert len(core) > c.max_built // 10
         for g in core:
             assert c.membership_level(j, g) == _scanned_membership_level(c, j, g), encode(g)
+
+
+def test_membership_past_the_cores_is_the_first_enumeration_index():
+    # components of the first 3,000 enumerated pairs, most of them in no
+    # built core: their level comes from the first pair that has them
+    c = Construction("asymmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+    c.build_to(30)
+    pairs = [c.c_pair(i) for i in range(1, 3001)]
+    past = 0
+    for j in (1, 2):
+        for g in dict.fromkeys(pair[j - 1] for pair in pairs):
+            level = _scanned_membership_level(c, j, g)
+            if level is None:
+                level = next(i for i, pair in enumerate(pairs) if pair[j - 1] == g) + 2
+                past += 1
+            assert c.membership_level(j, g) == level, encode(g)
+    assert past > 100
 
 
 def test_red_increment_is_the_pair_of_enumeration_components(mini_asym, mini_sym):

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from lampwalk.groups import (
     LAMP_A,
     LAMP_S,
@@ -10,6 +12,7 @@ from lampwalk.groups import (
     ProductElement,
     _product_row,
     abelian_control_group,
+    decode,
     encode,
     inverse,
     lamplighter_group,
@@ -250,6 +253,43 @@ def test_scan_equals_the_pair_loop_references():
         for b in ("identity", "involution"):
             assert {(b, True), (b, False)} <= outcomes[kind]
     assert left_cursor_signs == {-1, 0, 1}
+
+
+# Planted lamplighter failures for the bucketed scan.  In each, the first
+# failing bucket that the scan visits is not the one holding the lowest
+# failing triple, so the report is right only if it takes the minimum over
+# all buckets.  "in A" is a product that lands back in A, "repeat" a product
+# met before; b = ({1}, 0) and ({0}, 0) are their own inverses.
+_BUCKET_ORDER_CASES = {
+    # both failures repeat a product
+    "later-bucket-repeats-first": (("-1|-1,0", "0|0", "2|0", "3|"), "-1|-1"),
+    "later-bucket-repeats-first-pairs": (("-1|0", "-3|", "0|0", "1|", "2|"), "-1|-1"),
+    # the first bucket visited lands in A, a later one repeats at a lower index
+    "in-A-then-lower-repeat": (("-1|", "-1|-1,0", "-2|0", "-3|", "0|"), "-1|-1"),
+    "in-A-then-lower-repeat-triples": (("-1|0", "-3|", "0|0", "1|0", "1|1"), "2|0"),
+    # the first bucket visited repeats, a later one lands in A at a lower index
+    "repeat-then-lower-in-A": (("-1|-1", "-2|", "-2|0", "0|", "0|1"), "-1|"),
+    "repeat-then-lower-in-A-triples": (("-2|0", "0|1", "1|0,1", "2|"), "-1|0"),
+    # a bucket visited later fails past the lowest failure found so far, in
+    # a row that starts below it: its failure must not replace the lower one
+    "later-bucket-fails-higher": (("-1|-1,0", "0|", "0|-1", "1|0", "2|1"), "-1|0"),
+    "involution-later-bucket-fails-higher": (("-1|-1,0", "-2|-2", "0|-1", "0|0", "1|"), "0|0"),
+    # b = b^-1: the superswitcher scan runs one sign
+    "involution-in-A-then-lower-repeat": (("-1|-1,0", "-2|-2", "0|", "1|0", "3|"), "0|0"),
+    "involution-repeat-then-lower-in-A": (("0|", "0|-1", "2|", "2|1"), "0|1"),
+    "involution-later-bucket-repeats-first": (("-1|-1,0", "-2|-1", "-3|", "0|-1", "1|0,1"), "0|1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BUCKET_ORDER_CASES))
+def test_the_lowest_failure_over_all_buckets_is_reported(case):
+    elems, b = _BUCKET_ORDER_CASES[case]
+    a, b = explicit(LAMP, map(decode, elems)), decode(b)
+    assert (b == inverse(b)) == case.startswith("involution")
+    for check, reference in ((is_switcher, _reference_switcher), (is_superswitcher, _reference_superswitcher)):
+        want = reference(b, a)
+        assert not want.passed
+        assert check(b, a) == want
 
 
 # -- the row kernel ------------------------------------------------------------------

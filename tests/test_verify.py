@@ -7,7 +7,7 @@ import pytest
 from lampwalk import sampling, verify
 from lampwalk.construction import Config, Construction
 from lampwalk.errors import LampwalkError, ScheduleLimitError
-from lampwalk.groups import PRODUCT_IDENTITY, encode, inverse
+from lampwalk.groups import LAMP_A, PRODUCT_IDENTITY, encode, inverse
 from lampwalk.sampling import KDistribution
 from lampwalk.tvbound import SparsePMF, exact_joint_pmf
 
@@ -65,6 +65,23 @@ def test_switcher_scan_failure_is_reported():
     ok, detail = rows["switcher-inner-L1j1"]
     assert not ok and "; witness (" in detail
     assert rows["switcher-inner-L1j2"][0] and rows["switcher-outer-L1j2"][0]
+
+
+def test_switcher_rows_say_what_was_scanned(mini_sym_small, mini_asym_small):
+    for c, scanned in ((mini_sym_small, "2*{}^2 triples"), (mini_asym_small, "{}^2 pairs")):
+        rows = {name: (ok, detail) for name, ok, detail in verify._check_switchers(c)}
+        for level in c.levels:
+            for name, req, _ in c.switcher_scans(level):
+                assert rows[name] == (True, "brute scan over " + scanned.format(len(req)))
+    # an inner switcher that is its own inverse is scanned over one sign
+    c = Construction("symmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+    c.build_to(1)
+    level = c.levels[0]
+    level.factors = (dataclasses.replace(level.factor(1), b1=LAMP_A), level.factor(2))
+    rows = {name: (ok, detail) for name, ok, detail in verify._check_switchers(c)}
+    [n] = {len(req) for name, req, _ in c.switcher_scans(level) if name == "switcher-inner-L1j1"}
+    ok, detail = rows["switcher-inner-L1j1"]
+    assert not ok and detail.startswith(f"brute scan over {n}^2 triples (b = b^-1); witness (")
 
 
 def test_pmf_symmetry_fails_on_a_support_not_closed_under_inverse(mini_sym_small, monkeypatch):
