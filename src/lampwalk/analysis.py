@@ -224,13 +224,16 @@ class _FactorMap:
     first occurrence; a form is the plain (lamps, cursor) tuple the row
     kernel made, and leaves the index only rebuilt as an element.
     ``ids[code]`` is the form id of entry code (sid * |qa| + ia) * |qb| + ib.
-    A factor relabeled by a permutation of slices shares its source's dict.
+    A factor relabeled by a permutation of slices shares its source's dict,
+    and ``perm`` lists the source slice of each of its slices (None for a
+    map built or interned directly).
     """
 
     values: dict
     ids: array
     qa_list: list
     qb_list: list
+    perm: Optional[list] = None
 
     @classmethod
     def interned(cls, forms, qa_list: list, qb_list: list) -> "_FactorMap":
@@ -297,6 +300,17 @@ class _FactorMap:
                     meets.add(pair)
         return repeats, meets
 
+    def renamed(self, reads: tuple) -> tuple:
+        """``read_slices`` of a map relabeled by ``perm``, from its source's
+        ``reads``: its slice sid holds the form ids of source slice
+        ``perm[sid]``, so each source slice is renamed and each pair reordered."""
+        sid_of = [0] * len(self.perm)
+        for sid, src in enumerate(self.perm):
+            sid_of[src] = sid
+        repeats, meets = reads
+        return (sorted(sid_of[s] for s in repeats),
+                {tuple(sorted((sid_of[s], sid_of[t]))) for s, t in meets})
+
     def repeat_witnesses(self, sids: list) -> list:
         """(form, slice id, its first two (qa, qb) choices) for each form that
         repeats inside one of the slices ``sids``, in order of the form's
@@ -326,7 +340,9 @@ class WindowIndex:
     the usual case at the mini levels: the factors share b1, b2 and their A
     cores, so the right part of slice (i1, i2, s) is the left part of
     (i2, i1, s), and the slices are permuted, so the two factors share one
-    form dict.  Otherwise factor 2 is built directly.
+    form dict, and ``certify_unique`` renames factor 1's slice reads for
+    factor 2 instead of reading its slices again.  Otherwise factor 2 is
+    built directly.
     """
 
     def __init__(self, c: Construction, i: int, prime: bool = False):
@@ -381,14 +397,15 @@ class WindowIndex:
         ``slice_map[sid]``, with fm's q lists: fm's id blocks, concatenated.
 
         A permutation of the slices keeps the set of forms, so fm's dict
-        serves; otherwise the forms are interned again in the new code order.
+        serves and the map keeps ``slice_map`` as its ``perm``; otherwise the
+        forms are interned again in the new code order.
         """
         block = len(fm.qa_list) * len(fm.qb_list)
         ids = array("i")
         for src in slice_map:
             ids += fm.ids[src * block:(src + 1) * block]
         if sorted(slice_map) == list(range(len(slice_map))):
-            return _FactorMap(fm.values, ids, fm.qa_list, fm.qb_list)
+            return _FactorMap(fm.values, ids, fm.qa_list, fm.qb_list, slice_map)
         forms = list(fm.values)
         return _FactorMap.interned(map(forms.__getitem__, ids), fm.qa_list, fm.qb_list)
 
@@ -434,11 +451,16 @@ class WindowIndex:
         one factor, or from a pair of slices whose factor-1 images and
         factor-2 images both intersect.  Both are checked exhaustively, over
         each factor's slices read as sets of form ids; the joint set itself
-        is never materialized.
+        is never materialized.  A factor 2 relabeled from factor 1 by a
+        permutation holds factor 1's slice sets under other slice ids, so
+        factor 1's reads are renamed (``_FactorMap.renamed``), not read again.
         """
         cross = []
+        reads = None
         for fm in self.factors:
-            repeats, meets = fm.read_slices()
+            # only factor 2 has a perm, and its source is factor 1
+            reads = fm.read_slices() if fm.perm is None else fm.renamed(reads)
+            repeats, meets = reads
             if repeats:
                 return False, fm.repeat_witnesses(repeats)
             cross.append(meets)

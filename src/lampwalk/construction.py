@@ -138,6 +138,10 @@ class FactorLevel:
         """
         return multiply(multiply(multiply(own, self.b1), other), self.b2)
 
+    def solve_other(self, own: LamplighterElement, target: LamplighterElement) -> LamplighterElement:
+        """The one other with ``blue(own, other) == target``: b1^-1 own^-1 target b2^-1."""
+        return multiply(multiply(inverse(multiply(own, self.b1)), target), inverse(self.b2))
+
 
 @dataclass
 class Level:

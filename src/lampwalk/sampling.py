@@ -24,8 +24,9 @@ not materializable at desk scale.  Partial products are available up to the
 first unmaterialized step.
 
 ``pmf_eval`` is the exact step law read backwards, by parsing a given element
-at oracle scale; the forward law, every branch enumerated with its mass, is
-``tvbound.exact_joint_pmf``.
+at oracle scale: for each box draw f1, factor 1's component of g fixes the
+one candidate f2, which is solved for rather than searched.  The forward law,
+every branch enumerated with its mass, is ``tvbound.exact_joint_pmf``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Optional
 
 from .construction import Construction
 from .errors import CorruptFileError, LampwalkError, OracleRangeError, ParseError
-from .groups import PRODUCT_IDENTITY, ProductElement, decode, encode, inverse, multiply
+from .groups import PRODUCT_IDENTITY, LamplighterElement, ProductElement, decode, encode, inverse, multiply
 from .setalg import ORACLE_BOX_CAP
 
 DEFAULT_EXPONENT = 1.25
@@ -301,21 +302,35 @@ def walk(
 
 
 def _blue_parses(c: Construction, k: int, g: ProductElement):
-    """All (f1, f2) with X_blue(k, f1, f2) = g, by bounded enumeration."""
+    """All (f1, f2) with X_blue(k, f1, f2) = g, in f1's box order.
+
+    Factor 1's component f1 b1 f2 b2 = g.left fixes f2 for each f1
+    (``FactorLevel.solve_other``), so there is at most one pair per f1.  It
+    is kept when that f2 lies in the box and the whole increment, factor 2's
+    component included, equals g.  This finds the pairs, in the same order,
+    that a search over all of F x F finds, in |F| solves.
+    """
     level = c.level(k)
     box = level.box()
     if not box.fits(ORACLE_BOX_CAP):
         raise OracleRangeError(f"level {k} box too large for the exact oracle")
+    if not (isinstance(g, ProductElement) and isinstance(g.left, LamplighterElement)):
+        return []
+    solve = level.factor(1).solve_other
     out = []
     for f1 in box.iter_elements():
-        for f2 in box.iter_elements():
-            if level.blue_increment(f1, f2) == g:
-                out.append((f1, f2))
+        f2 = solve(f1, g.left)
+        if f2 in box and level.blue_increment(f1, f2) == g:
+            out.append((f1, f2))
     return out
 
 
 def _plain_mass(c: Construction, g: ProductElement, kdist: KDistribution) -> float:
-    """P(V = g) where V is the sigma=+1 increment form."""
+    """P(V = g) where V is the sigma=+1 increment form.
+
+    Each level adds its red mass when g is its red increment and its blue
+    mass when g parses (``_blue_parses``); two parses are a switcher breach.
+    """
     total = 0.0
     for k in range(1, kdist.truncation + 1):
         level = c.level(k)

@@ -60,7 +60,7 @@ class ExplicitSet:
 
     @cached_property
     def _sorted(self) -> tuple:
-        # find_switcher_bfs scans one set per candidate; it is sorted once
+        # a set that is scanned or iterated more than once is sorted once
         return tuple(sorted(self.elements, key=encode))
 
 

@@ -85,17 +85,24 @@ def is_superswitcher(b: Element, a: ExplicitSet) -> SwitcherReport:
 
 
 def _scan(b: Element, a: ExplicitSet, kind: str, powers: tuple) -> SwitcherReport:
-    """The one brute scan over A x powers x A; the module docstring has its layout."""
+    """The report of the one brute scan over A x powers x A."""
     elems = a.sorted_elements()
+    found = _lowest_failure(a, elems, powers)
+    if found is None:
+        return SwitcherReport(b, kind, True, "brute", f"explicit set of {len(elems)} elements")
+    return _failure(b, kind, elems, *found)
+
+
+def _lowest_failure(a: ExplicitSet, elems: list, powers: tuple) -> Optional[tuple]:
+    """(i, j) of the lowest failing triple of the scan over A x powers x A,
+    or None when it passes; the module docstring has its layout."""
     n = len(elems)
     found = None  # (i, j) of the lowest failing triple so far
     for members, in_a in _buckets(a, elems, powers):
         hit = _scan_bucket(members, n, in_a, found[0] if found else len(powers) * n * n)
         if hit is not None and (found is None or hit[0] < found[0]):
             found = hit
-    if found is None:
-        return SwitcherReport(b, kind, True, "brute", f"explicit set of {n} elements")
-    return _failure(b, kind, elems, *found)
+    return found
 
 
 def _buckets(a: ExplicitSet, elems: list, powers: tuple) -> list:
@@ -174,9 +181,11 @@ def find_switcher_bfs(
     a: ExplicitSet, radius: int, group: Optional[GroupDescriptor] = None
 ) -> Optional[Element]:
     """First non-identity element of the radius ball, in encoding order (not
-    BFS order), that passes is_switcher; else None."""
+    BFS order), that passes is_switcher; else None.  A rejected candidate
+    builds no report."""
+    elems = a.sorted_elements()
     for b in _ball_candidates(group or a.group, radius):
-        if is_switcher(b, a).passed:
+        if _lowest_failure(a, elems, (b,)) is None:
             return b
     return None
 

@@ -184,7 +184,9 @@ def _check_pmf_symmetry(c: Construction):
     sampler's branches forward; both sums run over the same terms in other
     orders, so they agree to rounding, hence the relative tolerance.  The
     row also checks that the support is closed under inverse, so that g^-1
-    is compared in its own turn.
+    is compared in its own turn.  Each parse solves factor 1's component
+    for f2, one candidate per box draw f1, and a second parse of one g
+    fails the row as a switcher breach.
     """
     if c.mode != "symmetric" or c.schedule != "mini" or c.max_built < 1:
         return []

@@ -548,8 +548,11 @@ def test_relabeled_factor_equals_the_direct_build(fixture, request, factor_build
             first, second = index.factors
             assert (second.qa_list, second.qb_list) == (first.qa_list, first.qb_list)
             _assert_direct_build(c, index, 1)
-            # the slices are permuted, so factor 2 keeps factor 1's forms
+            # the slices are permuted, so factor 2 keeps factor 1's forms, and
+            # its slice reads are factor 1's renamed
             assert second.values is first.values
+            assert second.renamed(first.read_slices()) == second.read_slices()
+            assert index.certify_unique() == _certify_reading_each_factor(index)
             factor_builds.clear()
 
 
@@ -638,6 +641,18 @@ def _planted(index, values1, values2):
     return planted
 
 
+def _certify_reading_each_factor(index):
+    """``certify_unique`` with every factor's slices read, none renamed."""
+    cross = []
+    for fm in index.factors:
+        repeats, meets = fm.read_slices()
+        if repeats:
+            return False, fm.repeat_witnesses(repeats)
+        cross.append(meets)
+    both = cross[0] & cross[1]
+    return (False, sorted(both)) if both else (True, [])
+
+
 def _reference_certify_unique(index):
     """``certify_unique`` with one set, sort and pair loop per multi-entry
     form, over each factor's form -> [codes] dict in code order."""
@@ -693,6 +708,22 @@ def test_certify_unique_reports_planted_collisions(mini_asym_small):
     # K lies in slices 1, 3 and 5 of factor 1, so its later slices 3 and 5 meet as well
     later = {Y: [(3, 0, 0), (5, 2, 1)]}
     assert _planted(index, f1, later).certify_unique() == (False, [(3, 5)])
+
+
+def test_a_relabeled_factor_meets_where_its_permutation_moves_the_slices(mini_asym_small):
+    # factor 2 is factor 1 rotated: its slice sid holds factor-1 slice sid + 1 (mod 7)
+    index = WindowOracle(mini_asym_small).index(1)
+    rotate = [1, 2, 3, 4, 5, 6, 0]
+    # G puts factor 1's meeting pair (0, 3) at (2, 6) in factor 2, and K
+    # puts factor 1's (2, 6) at (1, 5)
+    one = {G: [(0, 0, 0), (3, 1, 2)]}
+    two = {G: [(0, 0, 0), (3, 1, 2)], K: [(2, 0, 0), (6, 2, 1)]}
+    for values, want in ((one, (True, [])), (two, (False, [(2, 6)]))):
+        planted = _planted(index, values, {})
+        planted.factors[1] = analysis.WindowIndex._relabel(planted.factors[0], rotate)
+        assert planted.factors[1].perm == rotate
+        assert planted.certify_unique() == _certify_reading_each_factor(planted) == want
+        assert planted.certify_unique() == _reference_certify_unique(planted)
 
 
 def test_witnesses_of_a_factor_sharing_a_dict_come_in_its_own_order(mini_asym_small):

@@ -11,15 +11,25 @@ import tracemalloc
 import pytest
 
 from lampwalk.analysis import analyze_records, stable_so_far_flags
-from lampwalk.construction import Config, Construction
-from lampwalk.errors import CorruptFileError
-from lampwalk.groups import LamplighterElement, ProductElement, encode, inverse, multiply
+from lampwalk.construction import Config, Construction, Level
+from lampwalk.errors import CorruptFileError, LampwalkError
+from lampwalk.groups import (
+    LAMP_A,
+    LAMP_IDENTITY,
+    AbelianControlElement,
+    LamplighterElement,
+    ProductElement,
+    encode,
+    inverse,
+    multiply,
+)
 from lampwalk.sampling import (
     _HEAD,
     TRAJECTORY_COLUMNS,
     CoupledStep,
     KDistribution,
     Trajectory,
+    _blue_parses,
     pmf_eval,
     read_trajectory_csv,
     sample_x,
@@ -363,6 +373,88 @@ def test_symmetric_pmf_exactly_symmetric(mini_sym_small):
     assert {inverse(g) for g in support} == set(support)
     for g in support:
         assert math.isclose(pmf_eval(c, g, kd), forward.prob(g), rel_tol=PMF_REL_TOL)
+
+
+def _searched_parses(c, k, g):
+    """The parse as a search over every box pair (f1, f2), in box order."""
+    level = c.level(k)
+    fs = list(level.box().iter_elements())
+    return [(f1, f2) for f1 in fs for f2 in fs if level.blue_increment(f1, f2) == g]
+
+
+def _parse_inputs(c, seed):
+    """Every support element of the step law at truncation 2 and its inverse,
+    the red increments of both levels and signs, seeded products of two
+    support elements and seeded pairs of one's left and another's right
+    component outside the support, and elements that are no lamplighter
+    pair."""
+    support = sorted(exact_joint_pmf(c, KDistribution(truncation=2)).probs, key=encode)
+    inputs = support + [inverse(g) for g in support]
+    inputs += [c.level(k).red_increment(s) for k in (1, 2) for s in (1, -1)]
+    rng = random.Random(seed)
+    products = {multiply(*rng.sample(support, 2)) for _ in range(60)}
+    products |= {ProductElement(g.left, h.right) for g, h in (rng.sample(support, 2) for _ in range(60))}
+    inputs += sorted(products - set(support), key=encode)
+    control = AbelianControlElement(1, 0)
+    return inputs + [LAMP_A, ProductElement(control, control)]
+
+
+@pytest.mark.parametrize("fixture", ["mini_asym", "mini_sym", "mini_asym_small", "mini_sym_small"])
+def test_blue_parses_equal_the_box_pair_search(fixture, request):
+    # solving factor 1's component for f2 finds the pairs the search finds, in its order
+    c = request.getfixturevalue(fixture)
+    found = 0
+    for k in (1, 2):
+        for g in _parse_inputs(c, 31 + k):
+            parses = _blue_parses(c, k, g)
+            assert parses == _searched_parses(c, k, g), encode(g) if isinstance(g, ProductElement) else g
+            found += len(parses)
+    assert found
+
+
+def test_a_planted_breach_is_parsed_as_the_search_parses_it():
+    # with b1 the identity in both factors the increment is (f1 f2 b2, f2 f1 b2'),
+    # which no longer pins the pair: half of the level-2 box pairs parse more than once
+    c = Construction("symmetric", "mini", Config(brute_verify=False))
+    c.build_to(2)
+    level = c.levels[1]
+    fs = list(level.box().iter_elements())
+
+    def planted(js):
+        factors = tuple(dataclasses.replace(fl, b1=LAMP_IDENTITY) if j in js else fl
+                        for j, fl in enumerate(level.factors, start=1))
+        c.levels[1] = dataclasses.replace(level, factors=factors)
+        multiple = []
+        for f1 in fs:
+            for f2 in fs:
+                g = c.levels[1].blue_increment(f1, f2)
+                parses = _blue_parses(c, 2, g)
+                assert parses == _searched_parses(c, 2, g)
+                if len(parses) > 1:
+                    multiple.append(g)
+        return multiple
+
+    assert planted({1}) == []  # factor 2's component still pins the pair
+    multiple = planted({1, 2})
+    assert len(multiple) == 32
+    with pytest.raises(LampwalkError, match="blue parse not unique"):
+        pmf_eval(c, multiple[0], KDistribution(truncation=2))
+
+
+def test_a_level_2_parse_tries_at_most_one_pair_per_box_draw(mini_sym, monkeypatch):
+    level = mini_sym.level(2)
+    fs = list(level.box().iter_elements())
+    g = level.blue_increment(fs[3], fs[5])
+    calls = []
+    blue_increment = Level.blue_increment
+
+    def counted(self, f1, f2, sigma=1):
+        calls.append((f1, f2))
+        return blue_increment(self, f1, f2, sigma)
+
+    monkeypatch.setattr(Level, "blue_increment", counted)
+    assert _blue_parses(mini_sym, 2, g) == [(fs[3], fs[5])]
+    assert 1 <= len(calls) <= len(fs)
 
 
 def test_marginal_factorization_exact(mini_asym):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lampwalk import switchers
 from lampwalk.groups import (
     LAMP_A,
     LAMP_S,
@@ -141,6 +142,21 @@ def test_bfs_result_always_passes():
         found = find_switcher_bfs(a, 3)
         if found is not None:
             assert is_switcher(found, a).passed
+
+
+def test_bfs_search_is_the_first_passing_candidate_and_builds_no_report(monkeypatch):
+    rng = random.Random(17)
+    sets = [explicit(CONTROL, [AbelianControlElement(0, 0), AbelianControlElement(1, 0)])]
+    sets += [random_set(rng, radius=2, max_size=6) for _ in range(8)]
+    want = [next((b for b in switchers._ball_candidates(a.group, 2) if is_switcher(b, a).passed), None)
+            for a in sets]
+    assert None in want and any(want)
+
+    def report(*args):
+        raise AssertionError("a rejected candidate built a report")
+
+    monkeypatch.setattr(switchers, "_failure", report)
+    assert [find_switcher_bfs(a, 2) for a in sets] == want
 
 
 # -- the one scan against the two pair loops it replaced ---------------------------
