@@ -224,16 +224,12 @@ class _FactorMap:
     first occurrence; a form is the plain (lamps, cursor) tuple the row
     kernel made, and leaves the index only rebuilt as an element.
     ``ids[code]`` is the form id of entry code (sid * |qa| + ia) * |qb| + ib.
-    A factor relabeled by a permutation of slices shares its source's dict,
-    and ``perm`` lists the source slice of each of its slices (None for a
-    map built or interned directly).
     """
 
     values: dict
     ids: array
     qa_list: list
     qb_list: list
-    perm: Optional[list] = None
 
     @classmethod
     def interned(cls, forms, qa_list: list, qb_list: list) -> "_FactorMap":
@@ -258,10 +254,6 @@ class _FactorMap:
         """The codes of form id f, ascending."""
         by_form, starts = self._grouped
         return by_form[starts[f]:starts[f + 1]]
-
-    def first_seen(self):
-        """The form ids in order of first occurrence in this factor."""
-        return dict.fromkeys(self.ids)
 
     def decode(self, code: int) -> tuple:
         """The (slice id, qa index, qb index) of an entry code."""
@@ -300,32 +292,20 @@ class _FactorMap:
                     meets.add(pair)
         return repeats, meets
 
-    def renamed(self, reads: tuple) -> tuple:
-        """``read_slices`` of a map relabeled by ``perm``, from its source's
-        ``reads``: its slice sid holds the form ids of source slice
-        ``perm[sid]``, so each source slice is renamed and each pair reordered."""
-        sid_of = [0] * len(self.perm)
-        for sid, src in enumerate(self.perm):
-            sid_of[src] = sid
-        repeats, meets = reads
-        return (sorted(sid_of[s] for s in repeats),
-                {tuple(sorted((sid_of[s], sid_of[t]))) for s, t in meets})
-
     def repeat_witnesses(self, sids: list) -> list:
         """(form, slice id, its first two (qa, qb) choices) for each form that
-        repeats inside one of the slices ``sids``, in order of the form's
-        first occurrence, then by slice."""
+        repeats inside one of the slices ``sids``, in order of form id (that
+        is, of the form's first occurrence), then by slice."""
         block = len(self.qa_list) * len(self.qb_list)
-        rank = {f: r for r, f in enumerate(self.first_seen())}
         found = []
         for sid in sids:
             per_form = {}
             for code in range(sid * block, (sid + 1) * block):
                 per_form.setdefault(self.ids[code], []).append(code)
-            found += [(rank[f], sid, f, [self.decode(code)[1:] for code in codes[:2]])
+            found += [(f, sid, [self.decode(code)[1:] for code in codes[:2]])
                       for f, codes in per_form.items() if len(codes) > 1]
         forms = list(self.values)
-        return [(_lamp(*forms[f]), sid, qs) for _, sid, f, qs in sorted(found)]
+        return [(_lamp(*forms[f]), sid, qs) for f, sid, qs in sorted(found)]
 
 
 class WindowIndex:
@@ -333,16 +313,15 @@ class WindowIndex:
 
     Each factor stores every distinct form once and one int per entry code
     (see ``_FactorMap``).  A slice's forms depend only on its part of the
-    blue increment and on the factor's q lists.  So when factor 2 has
-    factor 1's q lists and each of its parts is some factor-1 part, its map
-    is factor 1's relabeled: slice sid takes the forms of the first factor-1
-    slice with the same part.  The result equals a direct build.  This is
-    the usual case at the mini levels: the factors share b1, b2 and their A
-    cores, so the right part of slice (i1, i2, s) is the left part of
-    (i2, i1, s), and the slices are permuted, so the two factors share one
-    form dict, and ``certify_unique`` renames factor 1's slice reads for
-    factor 2 instead of reading its slices again.  Otherwise factor 2 is
-    built directly.
+    blue increment and on the factor's q lists.  ``own_slice[sid]`` is the
+    factor-2 slice whose part is factor 1's part of slice sid.  When factor
+    2 has factor 1's q lists and ``own_slice`` is a permutation, factor 2's
+    forms are factor 1's, slice sid's under slice ``own_slice[sid]``, so
+    both entries of ``factors`` hold factor 1's map and factor 2's codes are
+    read through ``own_slice``.  This is the usual case at the mini levels:
+    the factors share b1, b2 and their A cores, so the right part of slice
+    (i1, i2, s) is the left part of (i2, i1, s).  Otherwise factor 2 is
+    built directly and ``own_slice`` is the identity.
     """
 
     def __init__(self, c: Construction, i: int, prime: bool = False):
@@ -369,15 +348,13 @@ class WindowIndex:
             c.a_power(j, i, p).sorted_elements() for j in (1, 2) for p in (e if prime else e + 1, e)
         )
         first = self._build_factor(lefts, qa1, qb1)
-        source = {}  # factor-1 part -> its first slice id
-        for sid, part in enumerate(lefts):
-            source.setdefault(part, sid)
-        slice_map = [source.get(part) for part in rights]
-        if (qa2, qb2) == (qa1, qb1) and None not in slice_map:
-            second = self._relabel(first, slice_map)
+        slice_of = {part: sid for sid, part in enumerate(rights)}
+        own_slice = [slice_of.get(part) for part in lefts]
+        if (qa2, qb2) == (qa1, qb1) and set(own_slice) == set(range(len(mids))):
+            self.factors, self.own_slice = [first, first], own_slice
         else:
-            second = self._build_factor(rights, qa2, qb2)
-        self.factors = [first, second]
+            self.factors = [first, self._build_factor(rights, qa2, qb2)]
+            self.own_slice = range(len(mids))
 
     @staticmethod
     def _build_factor(mids, qa_list, qb_list) -> _FactorMap:
@@ -391,27 +368,10 @@ class WindowIndex:
         rows = (row(multiply(qa, mid)) for mid in mids for qa in qa_list)
         return _FactorMap.interned(itertools.chain.from_iterable(rows), qa_list, qb_list)
 
-    @staticmethod
-    def _relabel(fm: _FactorMap, slice_map: list) -> _FactorMap:
-        """The factor map whose slice sid holds the forms of fm's slice
-        ``slice_map[sid]``, with fm's q lists: fm's id blocks, concatenated.
-
-        A permutation of the slices keeps the set of forms, so fm's dict
-        serves and the map keeps ``slice_map`` as its ``perm``; otherwise the
-        forms are interned again in the new code order.
-        """
-        block = len(fm.qa_list) * len(fm.qb_list)
-        ids = array("i")
-        for src in slice_map:
-            ids += fm.ids[src * block:(src + 1) * block]
-        if sorted(slice_map) == list(range(len(slice_map))):
-            return _FactorMap(fm.values, ids, fm.qa_list, fm.qb_list, slice_map)
-        forms = list(fm.values)
-        return _FactorMap.interned(map(forms.__getitem__, ids), fm.qa_list, fm.qb_list)
-
     # -- queries --
 
     def decompositions(self, g: ProductElement) -> list[Decomposition]:
+        """Every decomposition of g, in order of factor 2's entry code."""
         if not isinstance(g, ProductElement):
             return []
         f1, f2 = self.factors
@@ -423,9 +383,10 @@ class WindowIndex:
         for code in f1.codes(id1):
             sid, ia, ib = f1.decode(code)
             by_slice.setdefault(sid, []).append((ia, ib))
+        # factor 2's entries under its own slice ids, in its code order
+        own = sorted((self.own_slice[sid], ia, ib) for sid, ia, ib in map(f2.decode, f2.codes(id2)))
         out = []
-        for code in f2.codes(id2):
-            sid, ia2, ib2 = f2.decode(code)
+        for sid, ia2, ib2 in own:
             for ia1, ib1 in by_slice.get(sid, ()):
                 i1, i2, s = self.slices[sid]
                 out.append(
@@ -451,41 +412,38 @@ class WindowIndex:
         one factor, or from a pair of slices whose factor-1 images and
         factor-2 images both intersect.  Both are checked exhaustively, over
         each factor's slices read as sets of form ids; the joint set itself
-        is never materialized.  A factor 2 relabeled from factor 1 by a
-        permutation holds factor 1's slice sets under other slice ids, so
-        factor 1's reads are renamed (``_FactorMap.renamed``), not read again.
+        is never materialized.  A map both factors hold is read once, and
+        factor 2's meeting pairs are its pairs renamed through ``own_slice``.
         """
+        f1, f2 = self.factors
         cross = []
-        reads = None
-        for fm in self.factors:
-            # only factor 2 has a perm, and its source is factor 1
-            reads = fm.read_slices() if fm.perm is None else fm.renamed(reads)
-            repeats, meets = reads
+        for fm in (f1,) if f2 is f1 else (f1, f2):
+            repeats, meets = fm.read_slices()
             if repeats:
                 return False, fm.repeat_witnesses(repeats)
             cross.append(meets)
-        both = cross[0] & cross[1]
+        own = self.own_slice
+        both = cross[0] & {tuple(sorted((own[s], own[t]))) for s, t in cross[-1]}
         if both:
             return False, sorted(both)
         return True, []
 
     def iter_elements(self, limit: Optional[int] = None):
         """Joint window forms, one per (slice, q-choice) tuple combination,
-        in factor 1's order of first occurrence."""
+        in order of factor 1's form ids."""
         count = 0
-        f0, f1 = self.factors
-        block0 = len(f0.qa_list) * len(f0.qb_list)
+        f1, f2 = self.factors
         block1 = len(f1.qa_list) * len(f1.qb_list)
-        forms0, forms1 = list(f0.values), list(f1.values)
-        rev = {}
-        for f in f1.first_seen():
-            g2 = _lamp(*forms1[f])
+        block2 = len(f2.qa_list) * len(f2.qb_list)
+        rev = {}  # factor-2 slice -> its factor-2 forms
+        for f, form in enumerate(f2.values):
+            g2 = _lamp(*form)
+            for code in f2.codes(f):
+                rev.setdefault(self.own_slice[code // block2], []).append(g2)
+        for f, form in enumerate(f1.values):
+            g1 = _lamp(*form)
             for code in f1.codes(f):
-                rev.setdefault(code // block1, []).append(g2)
-        for f in f0.first_seen():
-            g1 = _lamp(*forms0[f])
-            for code in f0.codes(f):
-                for g2 in rev.get(code // block0, ()):
+                for g2 in rev.get(code // block1, ()):
                     yield ProductElement(g1, g2)
                     count += 1
                     if limit is not None and count >= limit:

@@ -4,7 +4,7 @@ import copy
 import itertools
 import random
 import tracemalloc
-from array import array
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -501,6 +501,15 @@ def _reference_factor(mids, qa_list, qb_list) -> dict:
     return values
 
 
+def _entries(index, j, f) -> list:
+    """The (slice id, qa index, qb index) entries of factor j's form id f,
+    ascending, under factor j's own slice ids: factor 2 reads its map's
+    slice sid as slice ``own_slice[sid]``."""
+    own = index.own_slice if j else range(len(index.slices))
+    fm = index.factors[j]
+    return sorted((own[sid], ia, ib) for sid, ia, ib in map(fm.decode, fm.codes(f)))
+
+
 @pytest.mark.parametrize("fixture", ["mini_asym", "mini_sym"])
 def test_window_index_matches_the_elementwise_build(fixture, request):
     c = request.getfixturevalue(fixture)
@@ -516,58 +525,95 @@ def test_window_index_matches_the_elementwise_build(fixture, request):
                 if j == 0:  # factor 1 numbers its forms in order of first occurrence
                     assert list(fm.values) == list(ref)
                 for g, entries in ref.items():
-                    assert [fm.decode(code) for code in fm.codes(fm.values[g])] == entries
+                    assert _entries(index, j, fm.values[g]) == entries
 
 
-def _code_forms(fm) -> list:
-    """The form of each entry code, in code order: what a factor map stores."""
+def _code_forms(fm, own_slice=None) -> list:
+    """The form of each entry code, in code order: what a factor map stores.
+    With ``own_slice``, the map's slice sid is read as slice own_slice[sid]."""
     forms = list(fm.values)
-    return [forms[f] for f in fm.ids]
+    out = [forms[f] for f in fm.ids]
+    if own_slice is None:
+        return out
+    block = len(fm.qa_list) * len(fm.qb_list)
+    renamed = [None] * len(out)
+    for src, sid in enumerate(own_slice):
+        renamed[sid * block:(sid + 1) * block] = out[src * block:(src + 1) * block]
+    return renamed
 
 
-def _assert_direct_build(c, index, j) -> None:
-    """Factor j equals its map built directly over its parts with the
-    index's q lists: the same form at every code, and a dict of its forms."""
+def _assert_direct_build(c, index):
+    """Factor 2, read through ``own_slice``, equals its map built directly
+    over its parts with the index's q lists: the same form at every code,
+    and the same entries per form.  Returns the index with that direct map
+    as its factor 2."""
     lv = c.level(index.level)
-    parts = [lv.blue_increment(index.fs[i1], index.fs[i2], s)[j] for i1, i2, s in index.slices]
-    fm = index.factors[j]
-    direct = index._build_factor(parts, fm.qa_list, fm.qb_list)
-    assert _code_forms(fm) == _code_forms(direct)
-    assert fm.values.keys() == direct.values.keys()
-    for g, f in direct.values.items():
-        assert fm.codes(fm.values[g]) == direct.codes(f)
+    parts = [lv.blue_increment(index.fs[i1], index.fs[i2], s).right for i1, i2, s in index.slices]
+    fm = index.factors[1]
+    direct = copy.copy(index)
+    direct.factors = [index.factors[0], index._build_factor(parts, fm.qa_list, fm.qb_list)]
+    direct.own_slice = range(len(index.slices))
+    built = direct.factors[1]
+    assert _code_forms(fm, index.own_slice) == _code_forms(built)
+    assert fm.values.keys() == built.values.keys()
+    for g, f in built.values.items():
+        assert _entries(index, 1, fm.values[g]) == _entries(direct, 1, f)
+    return direct
 
 
-@pytest.mark.parametrize("fixture", ["mini_asym", "mini_sym", "mini_asym_small", "mini_sym_small"])
-def test_relabeled_factor_equals_the_direct_build(fixture, request, factor_builds):
+FIXTURES = ["mini_asym", "mini_sym", "mini_asym_small", "mini_sym_small"]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_factor_2_holds_factor_1s_map(fixture, request, factor_builds):
+    # the factors share b1, b2 and their A cores, so factor 2's slice
+    # (i2, i1, s) has the part of factor 1's slice (i1, i2, s)
+    c = request.getfixturevalue(fixture)
+    for level in (1, 2):
+        for prime in (False, True):
+            factor_builds.clear()
+            index = analysis.WindowIndex(c, level, prime)
+            assert factor_builds == [len(index.slices)]
+            assert index.factors[1] is index.factors[0]
+            swapped = [(i2, i1, s) for i1, i2, s in index.slices]
+            assert [index.slices[sid] for sid in index.own_slice] == swapped
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_relabeled_factor_equals_the_direct_build(fixture, request):
     c = request.getfixturevalue(fixture)
     for level in (1, 2):
         for prime in (False, True):
             index = analysis.WindowIndex(c, level, prime)
-            assert factor_builds == [len(index.slices)]  # factor 2 was relabeled
-            first, second = index.factors
-            assert (second.qa_list, second.qb_list) == (first.qa_list, first.qb_list)
-            _assert_direct_build(c, index, 1)
-            # the slices are permuted, so factor 2 keeps factor 1's forms, and
-            # its slice reads are factor 1's renamed
-            assert second.values is first.values
-            assert second.renamed(first.read_slices()) == second.read_slices()
-            assert index.certify_unique() == _certify_reading_each_factor(index)
-            factor_builds.clear()
+            direct = _assert_direct_build(c, index)
+            # each reader of factor 2's codes answers as over the direct map
+            assert index.certify_unique() == direct.certify_unique()
+            for g in itertools.islice(index.iter_elements(), 0, 3000, 29):
+                assert index.decompositions(g) == direct.decompositions(g)
+            if level == 1 or fixture == "mini_asym_small":  # at most 44,100 joint forms
+                assert Counter(index.iter_elements()) == Counter(direct.iter_elements())
 
 
-def test_a_relabel_that_repeats_slices_interns_its_own_forms(mini_sym_small):
-    index = WindowOracle(mini_sym_small).index(2)
-    first = index.factors[0]
+def test_a_slice_map_that_repeats_slices_builds_factor_2_directly(mini_sym_small, monkeypatch, factor_builds):
+    # both parts of slice sid are planted as factor 1's part of slice sid // 2:
+    # each factor-2 part is a factor-1 part, but two slices hold each one, so
+    # factor 2's slices are no permutation of factor 1's
     lv = mini_sym_small.level(2)
-    parts = [lv.blue_increment(index.fs[i1], index.fs[i2], s).left for i1, i2, s in index.slices]
-    slice_map = [sid // 2 for sid in range(len(parts))]  # slices 0, 0, 1, 1, ...
-    relabeled = analysis.WindowIndex._relabel(first, slice_map)
-    direct = index._build_factor([parts[src] for src in slice_map], first.qa_list, first.qb_list)
-    assert relabeled.values is not first.values
-    assert list(relabeled.values.items()) == list(direct.values.items())
-    assert relabeled.ids == direct.ids
-    assert len(relabeled.values) < len(first.values)
+    index = WindowOracle(mini_sym_small).index(2)
+    slice_of = {(index.fs[i1], index.fs[i2], s): sid for sid, (i1, i2, s) in enumerate(index.slices)}
+    lefts = [lv.blue_increment(index.fs[i1], index.fs[i2], s).left for i1, i2, s in index.slices]
+
+    def planted(f1, f2, s):
+        part = lefts[slice_of[f1, f2, s] // 2]
+        return ProductElement(part, part)
+
+    monkeypatch.setattr(lv, "blue_increment", planted)
+    factor_builds.clear()
+    index = analysis.WindowIndex(mini_sym_small, 2)
+    assert factor_builds == [len(index.slices)] * 2
+    assert index.factors[1] is not index.factors[0]
+    assert index.own_slice == range(len(index.slices))
+    _assert_direct_build(mini_sym_small, index)
 
 
 def test_a_factor_with_other_q_lists_or_parts_is_built_directly(factor_builds, monkeypatch):
@@ -580,8 +626,8 @@ def test_a_factor_with_other_q_lists_or_parts_is_built_directly(factor_builds, m
         index = analysis.WindowIndex(c, 2)
     first, second = index.factors
     assert second.qa_list == first.qa_list and second.qb_list != first.qb_list
-    assert len(factor_builds) == 2
-    _assert_direct_build(c, index, 1)
+    assert len(factor_builds) == 2 and index.own_slice == range(len(index.slices))
+    _assert_direct_build(c, index)
     # factor 2 with its own outer switcher: its parts are no factor-1 parts
     level = c.levels[1]
     level.factors = (level.factor(1), replace(level.factor(2), b2=level.factor(1).b1))
@@ -589,8 +635,8 @@ def test_a_factor_with_other_q_lists_or_parts_is_built_directly(factor_builds, m
     index = analysis.WindowIndex(c, 2)
     first, second = index.factors
     assert (second.qa_list, second.qb_list) == (first.qa_list, first.qb_list)
-    assert len(factor_builds) == 2
-    _assert_direct_build(c, index, 1)
+    assert len(factor_builds) == 2 and index.own_slice == range(len(index.slices))
+    _assert_direct_build(c, index)
 
 
 def _is_element(g) -> bool:
@@ -638,30 +684,19 @@ def _planted(index, values1, values2):
         return analysis._FactorMap.interned(forms, qs, qs)
 
     planted.factors = [factor(values1), factor(values2)]
+    planted.own_slice = range(7)
     return planted
-
-
-def _certify_reading_each_factor(index):
-    """``certify_unique`` with every factor's slices read, none renamed."""
-    cross = []
-    for fm in index.factors:
-        repeats, meets = fm.read_slices()
-        if repeats:
-            return False, fm.repeat_witnesses(repeats)
-        cross.append(meets)
-    both = cross[0] & cross[1]
-    return (False, sorted(both)) if both else (True, [])
 
 
 def _reference_certify_unique(index):
     """``certify_unique`` with one set, sort and pair loop per multi-entry
-    form, over each factor's form -> [codes] dict in code order."""
+    form, over each factor's form -> [codes] dict in its own code order."""
     pair_witnesses = []
     cross = [set(), set()]
     for fi, fm in enumerate(index.factors):
         block = len(fm.qa_list) * len(fm.qb_list)
         values = {}
-        for code, g in enumerate(_code_forms(fm)):
+        for code, g in enumerate(_code_forms(fm, index.own_slice if fi else None)):
             values.setdefault(g, []).append(code)
         for g, codes in values.items():
             if len(codes) == 1:
@@ -711,42 +746,30 @@ def test_certify_unique_reports_planted_collisions(mini_asym_small):
 
 
 def test_a_relabeled_factor_meets_where_its_permutation_moves_the_slices(mini_asym_small):
-    # factor 2 is factor 1 rotated: its slice sid holds factor-1 slice sid + 1 (mod 7)
+    # factor 2 holds factor 1's map rotated: factor-1 slice sid is its slice sid - 1 (mod 7)
     index = WindowOracle(mini_asym_small).index(1)
-    rotate = [1, 2, 3, 4, 5, 6, 0]
+    own_slice = [6, 0, 1, 2, 3, 4, 5]
     # G puts factor 1's meeting pair (0, 3) at (2, 6) in factor 2, and K
     # puts factor 1's (2, 6) at (1, 5)
     one = {G: [(0, 0, 0), (3, 1, 2)]}
     two = {G: [(0, 0, 0), (3, 1, 2)], K: [(2, 0, 0), (6, 2, 1)]}
     for values, want in ((one, (True, [])), (two, (False, [(2, 6)]))):
         planted = _planted(index, values, {})
-        planted.factors[1] = analysis.WindowIndex._relabel(planted.factors[0], rotate)
-        assert planted.factors[1].perm == rotate
-        assert planted.certify_unique() == _certify_reading_each_factor(planted) == want
+        planted.factors[1] = planted.factors[0]
+        planted.own_slice = own_slice
+        # the same forms planted in a factor 2 of its own, under its slice ids
+        moved = {g: [(own_slice[sid], ia, ib) for sid, ia, ib in entries] for g, entries in values.items()}
+        assert planted.certify_unique() == _planted(index, values, moved).certify_unique() == want
         assert planted.certify_unique() == _reference_certify_unique(planted)
-
-
-def test_witnesses_of_a_factor_sharing_a_dict_come_in_its_own_order(mini_asym_small):
-    # factor 2 shares factor 1's dict, where G has a lower id than H; in
-    # factor 2, H repeats in slice 0 and G in slice 1, so H comes first
-    index = WindowOracle(mini_asym_small).index(1)
-    planted = _planted(index, {G: [(0, 0, 0), (1, 0, 0)], H: [(2, 0, 0), (3, 0, 0)]}, {})
-    first = planted.factors[0]
-    ids = array("i", first.ids)
-    for code, src in ((0, 18), (3, 27), (9, 0), (12, 9), (18, 3), (27, 12)):  # codes as (sid * 3 + ia) * 3 + ib
-        ids[code] = first.ids[src]
-    planted.factors[1] = analysis._FactorMap(first.values, ids, first.qa_list, first.qb_list)
-    assert first.values[G] < first.values[H]
-    want = (False, [(H, 0, [(0, 0), (1, 0)]), (G, 1, [(0, 0), (1, 0)])])
-    assert planted.certify_unique() == _reference_certify_unique(planted) == want
 
 
 def test_window_index_footprint():
     # symmetric mini level 2: 105,280 distinct forms per factor and 204,544
-    # codes each.  Factor 2's slices are factor 1's permuted, so both share
-    # one form dict.  A form's tuples take about 190 bytes, its dict entry
-    # and id about 80; a code takes 4 bytes in ``ids`` and 4 in ``by_form``.
-    # A form -> [codes] dict per factor retained 61.5 MB.
+    # codes each.  Factor 2's slices are factor 1's permuted, so both
+    # factors hold one map and factor 2 adds no per-code storage.  A form's
+    # tuples take about 190 bytes, its dict entry and id about 80; a code
+    # takes 4 bytes in ``ids`` and 4 in ``by_form``.  A form -> [codes]
+    # dict per factor retained 61.5 MB.
     c = Construction("symmetric", "mini", Config(brute_verify=False))
     c.build_to(2)
     tracemalloc.start()
@@ -759,8 +782,8 @@ def test_window_index_footprint():
     forms = len(first.values)
     codes = sum(len(index.slices) * len(fm.qa_list) * len(fm.qb_list) for fm in index.factors)
     assert (forms, codes) == (105_280, 409_088)
-    assert retained <= 320 * forms + 16 * codes
-    assert second.values is first.values
+    assert second is first
+    assert retained <= 320 * forms + 16 * len(first.ids)
 
 
 def test_certify_unique_matches_the_reference_loop(mini_sym, mini_asym_small):

@@ -247,6 +247,25 @@ MINI_BUILD = ["build", "--schedule", "mini", "--mini-box-cap", "1", "--max-level
               "--out", "m.lwc"]
 
 
+@pytest.mark.parametrize("mode", ["asymmetric", "symmetric"])
+def test_verify_passes_a_paper_file_beyond_the_window_oracles(mode, tmp_path, monkeypatch, capsys):
+    # paper level 2's box is too large for a window index or a brute switcher
+    # scan: the window rows report it as skipped, the scans as certificate mode
+    monkeypatch.chdir(tmp_path)
+    run_in_process(["build", "--schedule", "paper", "--mode", mode, "--max-level", "2",
+                    "--out", "p.lwc"], monkeypatch)
+    capsys.readouterr()
+    run_in_process(["verify", "p.lwc"], monkeypatch)
+    lines = capsys.readouterr().out.splitlines()
+    skipped = "skipped: level 2 box too large for window enumeration"
+    assert f"PASS decomposition-unique-L2: {skipped}" in lines
+    assert f"PASS window-disjoint-L1L2: {skipped}" in lines
+    assert "PASS switcher-brute-L2: box too large; certificate mode" in lines
+    if mode == "asymmetric":
+        assert "PASS folner-L2: exact ratio 0.182401 vs delta 0.5" in lines
+    assert not any(line.startswith("FAIL ") for line in lines)
+
+
 def test_manifest_records_the_argv_main_was_given(tmp_path, monkeypatch):
     # an in-process caller's own arguments are not the run's
     from lampwalk import cli

@@ -6,7 +6,7 @@ import pytest
 
 from lampwalk import sampling, verify
 from lampwalk.construction import Config, Construction
-from lampwalk.errors import LampwalkError, ScheduleLimitError
+from lampwalk.errors import LampwalkError, ScheduleLimitError, SizeCapError
 from lampwalk.groups import LAMP_A, PRODUCT_IDENTITY, encode, inverse
 from lampwalk.sampling import KDistribution
 from lampwalk.tvbound import SparsePMF, exact_joint_pmf
@@ -27,7 +27,7 @@ def test_suite_builds_each_window_index_once(mini_sym_small, monkeypatch, factor
     assert sorted(indexes) == [(1, False), (2, False)]
     for key, returned in indexes.items():
         assert len({id(x) for x in returned}) == 1, key
-    # one factor map built per level; the other factor's is relabeled from it
+    # one factor map built per level; factor 2 holds factor 1's
     assert len(factor_builds) == len(indexes)
     assert [(name, ok) for name, ok, _ in results] == [
         ("deterministic-rebuild", True),
@@ -134,3 +134,18 @@ def test_loaded_file_is_verified_without_a_rebuild(tmp_path, monkeypatch):
     [row] = verify._check_rebuild(loaded)
     assert row == ("deterministic-rebuild", False, "rebuild diverges")
     assert built == []
+
+
+def test_a_digest_that_cannot_be_written_fails_the_rebuild_row(mini_asym_small, monkeypatch):
+    # a paper construction's digest can hold an integer too long to encode;
+    # the row keeps its name and fails with the reason
+    def too_long(self):
+        raise SizeCapError("cannot encode: a cursor or lamp exceeds 2000000 decimal digits")
+
+    monkeypatch.setattr(Construction, "digest", too_long)
+    rows = verify.run_verification_suite(mini_asym_small)
+    assert rows[0] == (
+        "deterministic-rebuild", False,
+        "rebuild failed: cannot encode: a cursor or lamp exceeds 2000000 decimal digits",
+    )
+    assert all(ok for _, ok, _ in rows[1:])
