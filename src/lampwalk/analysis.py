@@ -430,24 +430,26 @@ class WindowIndex:
 
     def iter_elements(self, limit: Optional[int] = None):
         """Joint window forms, one per (slice, q-choice) tuple combination,
-        in order of factor 1's form ids."""
-        count = 0
+        slice by slice: joint slice t pairs factor 1's block t of ``ids``
+        with the factor-2 block that holds slice t under ``own_slice``.
+        Each slice's forms are rebuilt as elements when it is reached, so the
+        first form costs one slice, not the whole index."""
         f1, f2 = self.factors
         block1 = len(f1.qa_list) * len(f1.qb_list)
         block2 = len(f2.qa_list) * len(f2.qb_list)
-        rev = {}  # factor-2 slice -> its factor-2 forms
-        for f, form in enumerate(f2.values):
-            g2 = _lamp(*form)
-            for code in f2.codes(f):
-                rev.setdefault(self.own_slice[code // block2], []).append(g2)
-        for f, form in enumerate(f1.values):
-            g1 = _lamp(*form)
-            for code in f1.codes(f):
-                for g2 in rev.get(code // block1, ()):
-                    yield ProductElement(g1, g2)
-                    count += 1
-                    if limit is not None and count >= limit:
-                        return
+        forms1, forms2 = list(f1.values), list(f2.values)
+        holder = {own: sid for sid, own in enumerate(self.own_slice)}
+
+        def joint():
+            for t in range(len(self.slices)):
+                s = holder[t]
+                g2s = [_lamp(*forms2[f]) for f in f2.ids[s * block2:(s + 1) * block2]]
+                for f in f1.ids[t * block1:(t + 1) * block1]:
+                    g1 = _lamp(*forms1[f])
+                    for g2 in g2s:
+                        yield ProductElement(g1, g2)
+
+        return itertools.islice(joint(), limit)
 
 
 class WindowOracle:

@@ -139,21 +139,7 @@ def cmd_build(args) -> int:
     cfg = Config(mini_box_cap=args.mini_box_cap, brute_verify=not args.no_brute_verify)
     c = Construction(mode=args.mode, schedule=args.schedule, config=cfg)
     for i in range(1, args.max_level + 1):
-        level = c.build_level(i)
-        ratio = level.folner_ratio
-        print(
-            f"level {i}: box n={_box_text(level.n)} |F|=n*2^n"
-            f" folner={'certified' if level.folner_certified else 'recorded'}"
-            f" ratio={'n/a' if ratio is None else f'{float(ratio):.6g}'}"
-        )
-        table = {}  # both factors' equal integers are converted to text once
-        for j in (1, 2):
-            fl, st = level.factor(j), c.a_state(j, i)
-            print(
-                f"  factor {j}: |core(A)|={st.core_len}"
-                f" cert=({st.cert.cursor_radius},{st.cert.lamp_radius})"
-                f" b1={_short(fl.b1, table)} b2={_short(fl.b2, table)} c={_short(fl.c, table)}"
-            )
+        _print_level(c, c.build_level(i))
     out = Path(args.out)
     construction_digest = c.save(out)
     manifest = _manifest(args, construction_digest)
@@ -162,14 +148,31 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _box_text(n: int) -> str:
-    """A box parameter in decimal up to 64 bits, past that as ~2^(bit length - 1)."""
-    return str(n) if n.bit_length() <= 64 else f"~2^{n.bit_length() - 1}"
+def _print_level(c: Construction, level) -> None:
+    """One level as ``build`` and ``inspect`` print it: box, Folner status and
+    ratio, then per factor A(j,i)'s core, exactness and radii, and b1, b2, c."""
+    ratio = level.folner_ratio
+    print(
+        f"level {level.index}: box n={_int_text(level.n)}"
+        f" folner={'certified' if level.folner_certified else 'recorded'}"
+        f" ratio={'n/a' if ratio is None else f'{float(ratio):.6g}'}"
+    )
+    for j in (1, 2):
+        fl, st = level.factor(j), c.a_state(j, level.index)
+        print(
+            f"  factor {j}: core={st.core_len} exact={'yes' if st.exact else 'no'}"
+            f" cert=({_int_text(st.cert.cursor_radius)},{_int_text(st.cert.lamp_radius)})"
+            f" b1={_element_text(fl.b1)} b2={_element_text(fl.b2)} c={_element_text(fl.c)}"
+        )
 
 
-def _short(g, table: dict) -> str:
-    text = encode(g, table)
-    return text if len(text) <= 40 else text[:37] + "..."
+def _int_text(n: int) -> str:
+    """An integer in decimal up to 64 bits, past that as ~2^(bit length - 1), signed."""
+    return str(n) if n.bit_length() <= 64 else f"~{'-' if n < 0 else ''}2^{n.bit_length() - 1}"
+
+
+def _element_text(g) -> str:
+    return f"{_int_text(g.cursor)}|{','.join(map(_int_text, g.lamps))}"
 
 
 def cmd_sample(args) -> int:
@@ -288,13 +291,7 @@ def cmd_inspect(args) -> int:
     print(f"levels built: {c.max_built}")
     print(f"digest: {c.file_digest}")
     for level in c.levels:
-        print(f"level {level.index}: box n={_box_text(level.n)}")
-        for j in (1, 2):
-            st = c.a_state(j, level.index)
-            print(
-                f"  factor {j}: cert=({st.cert.cursor_radius},{st.cert.lamp_radius})"
-                f" core={st.core_len} exact={'yes' if st.exact else 'no'}"
-            )
+        _print_level(c, level)
     return 0
 
 

@@ -457,6 +457,12 @@ class Construction:
         """Explicit known members of A(j,i), in deterministic build order."""
         return tuple(self._core_lists[j - 1][: self.a_state(j, i).core_len])
 
+    def a_core_added(self, j: int, i: int) -> list:
+        """The core entries A(j,i) adds to A(j,i-1), in build order; level 1
+        adds to {identity}, the list's first entry."""
+        start = self.a_state(j, i - 1).core_len if i > 1 else 1
+        return self._core_lists[j - 1][start:self.a_state(j, i).core_len]
+
     def a_set(self, j: int, i: int) -> ExplicitSet:
         """Materialized A(j,i); requires the core to be exact."""
         st = self.a_state(j, i)
@@ -560,8 +566,7 @@ class Construction:
         entries it adds to A(j,i-1) (level 1 starts from {identity}).
         ``table`` caches the integer texts, as for ``encode``."""
         st = self.a_state(j, i)
-        start = self.a_state(j, i - 1).core_len if i > 1 else 1
-        added = self._core_lists[j - 1][start: st.core_len]
+        added = self.a_core_added(j, i)
         radii = (_int_text(st.cert.cursor_radius, table), _int_text(st.cert.lamp_radius, table))
         return [
             f"[factor {j}]",

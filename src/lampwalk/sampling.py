@@ -424,7 +424,11 @@ def read_trajectory_csv(path) -> Trajectory:
                 traj.neg.append(sigma == "-1")
                 if x_text:
                     traj.elements[step - 1] = (None, None, decode(x_text, table=ints))
-                if z_text and len(traj.zs) == step - 1:
+                if z_text:
+                    # the writer fills z cells on the prefix of materialized steps
+                    if not x_text or len(traj.zs) < step - 1:
+                        raise CorruptFileError(f"{path}: step {step} has a z cell without"
+                                               " its x cell or an earlier z cell")
                     traj.zs.append(decode(z_text, table=ints))
     except ParseError as exc:
         raise CorruptFileError(f"{path}: step {step}: {exc}") from None

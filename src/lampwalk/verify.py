@@ -66,16 +66,23 @@ def _check_rebuild(c: Construction):
 
 
 def _check_core_nesting(c: Construction):
+    """The A cores are prefixes of one append-only list without repeats, so
+    they nest exactly when ``core_len`` never decreases, and nested cores
+    are all closed under inverse exactly when each level's added segment is
+    (the list starts at the identity, its own inverse).  Neither row copies
+    a core."""
     out = []
+    levels = range(1, c.max_built + 1)
     for j in (1, 2):
-        cores = [set(c.a_core(j, i)) for i in range(1, c.max_built + 1)]
-        nested = all(a <= b for a, b in zip(cores, cores[1:]))
+        lens = [c.a_state(j, i).core_len for i in levels]
+        nested = all(a <= b for a, b in zip(lens, lens[1:]))
         out.append((
             f"core-nesting-j{j}", nested,
             "A cores grow monotonically" if nested else "a core lost elements",
         ))
         if c.mode == "symmetric":
-            sym = all({inverse(g) for g in core} == core for core in cores)
+            segments = (set(c.a_core_added(j, i)) for i in levels)
+            sym = all({inverse(g) for g in seg} == seg for seg in segments)
             out.append((
                 f"core-symmetry-j{j}", sym,
                 "cores closed under inverse" if sym else "a core is not symmetric",

@@ -594,6 +594,44 @@ def test_relabeled_factor_equals_the_direct_build(fixture, request):
                 assert Counter(index.iter_elements()) == Counter(direct.iter_elements())
 
 
+def _reference_iter_elements(index):
+    """The joint forms as ``iter_elements`` once listed them: factor 2's forms
+    gathered per slice from its codes grouped by form, then factor 1's codes
+    read form by form."""
+    f1, f2 = index.factors
+    block1 = len(f1.qa_list) * len(f1.qb_list)
+    block2 = len(f2.qa_list) * len(f2.qb_list)
+    rev = {}
+    for f, form in enumerate(f2.values):
+        for code in f2.codes(f):
+            rev.setdefault(index.own_slice[code // block2], []).append(LamplighterElement(*form))
+    for f, form in enumerate(f1.values):
+        for code in f1.codes(f):
+            for g2 in rev.get(code // block1, ()):
+                yield ProductElement(LamplighterElement(*form), g2)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_joint_forms_are_the_reference_multiset(fixture, request):
+    c = request.getfixturevalue(fixture)
+    for level in (1, 2) if fixture == "mini_asym_small" else (1,):  # at most 44,100 joint forms
+        for prime in (False, True):
+            index = analysis.WindowIndex(c, level, prime)
+            forms = list(index.iter_elements())
+            assert Counter(forms) == Counter(_reference_iter_elements(index))
+            assert list(index.iter_elements(limit=7)) == forms[:7]
+
+
+def test_the_first_joint_form_reads_one_slice(mini_sym):
+    # symmetric mini level 2 has 326,861,312 joint forms; the first one
+    # groups no codes by form
+    index = analysis.WindowIndex(mini_sym, 2)
+    g = next(index.iter_elements())
+    assert index.factors[1] is index.factors[0]
+    assert "_grouped" not in vars(index.factors[0])
+    assert index.decompositions(g)
+
+
 def test_a_slice_map_that_repeats_slices_builds_factor_2_directly(mini_sym_small, monkeypatch, factor_builds):
     # both parts of slice sid are planted as factor 1's part of slice sid // 2:
     # each factor-2 part is a factor-1 part, but two slices hold each one, so

@@ -1,5 +1,6 @@
 """End-to-end CLI: build, sample, analyze, tv, verify; determinism contract."""
 
+import csv
 import json
 import random
 import subprocess
@@ -215,10 +216,45 @@ def test_verify_switcher_witnesses_are_encoded(tmp_path):
 
 
 def test_inspect(tmp_path):
-    run(["build", "--schedule", "mini", "--max-level", "1", "--out", "mini.lwc"], tmp_path)
+    build = run(["build", "--schedule", "mini", "--max-level", "2", "--mini-box-cap", "1",
+                 "--out", "mini.lwc"], tmp_path)
     proc = run(["inspect", "mini.lwc"], tmp_path)
-    assert "levels built: 1" in proc.stdout
-    assert "digest:" in proc.stdout
+    head, levels = proc.stdout.splitlines()[:4], proc.stdout.splitlines()[4:]
+    assert head[:3] == ["mode: asymmetric", "schedule: mini", "levels built: 2"]
+    assert head[3].startswith("digest: ") and head[3][8:20] in build.stdout
+    # build prints each level as it is built, and inspect each loaded level, in one format
+    assert levels == build.stdout.splitlines()[:-1]
+    assert levels == [
+        "level 1: box n=1 folner=recorded ratio=0",
+        "  factor 1: core=1 exact=yes cert=(0,0) b1=2|1 b2=100|40 c=0|",
+        "  factor 2: core=1 exact=yes cert=(0,0) b1=2|1 b2=100|40 c=0|",
+        "level 2: box n=1 folner=recorded ratio=20",
+        "  factor 1: core=5 exact=yes cert=(102,42) b1=1412|553 b2=68884|27382 c=-1|",
+        "  factor 2: core=5 exact=yes cert=(102,42) b1=1412|553 b2=68884|27382 c=0|",
+    ]
+
+
+def test_level_lines_stay_short_on_deep_builds(tmp_path, monkeypatch, capsys):
+    from lampwalk import cli
+
+    # level 100's certificate radii have 281 digits each
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["build", "--max-level", "100", "--mini-box-cap", "1", "--no-brute-verify",
+                     "--out", "m.lwc"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 301 and lines[-1].startswith("saved m.lwc")
+    assert max(map(len, lines)) <= 200
+    assert " cert=(~2^" in lines[-2]
+
+
+def test_integers_past_64_bits_print_as_powers_of_two():
+    from lampwalk import cli
+
+    assert cli._int_text(2**64 - 1) == "18446744073709551615"
+    assert cli._int_text(-(2**64 - 1)) == "-18446744073709551615"
+    assert cli._int_text(2**64) == "~2^64"
+    assert cli._int_text(-(2**64)) == "~-2^64"
+    assert cli._int_text(-(3 * 2**5000)) == "~-2^5001"
 
 
 def test_manifest_records_the_flag_values(tmp_path):
@@ -372,12 +408,26 @@ def test_run_flags_are_taken_only_where_they_act():
         assert taken == FLAG_SLOTS[command], command
 
 
+def _blank_cell(source: Path, target: Path, step: int, column: str) -> None:
+    """Copy a trajectory CSV with one cell of one step blanked."""
+    from lampwalk.sampling import TRAJECTORY_COLUMNS
+
+    with open(source, newline="") as fh:
+        manifest = fh.readline()
+        rows = list(csv.reader(fh))
+    rows[step][TRAJECTORY_COLUMNS.index(column)] = ""  # rows[0] is the header
+    with open(target, "w", newline="") as fh:
+        fh.write(manifest)
+        csv.writer(fh).writerows(rows)
+
+
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
     """A level-2 mini file and trajectory CSVs that each break one rule."""
     from lampwalk import cli
     from lampwalk.groups import LamplighterElement, ProductElement
-    from lampwalk.sampling import Trajectory, write_trajectory_csv
+    from lampwalk.construction import Construction
+    from lampwalk.sampling import KDistribution, Trajectory, walk, write_trajectory_csv
 
     root = tmp_path_factory.mktemp("bad")
     assert cli.main(["build", "--mini-box-cap", "1", "--no-brute-verify",
@@ -389,6 +439,11 @@ def bad_inputs(tmp_path_factory):
     (root / "short.csv").write_text("".join(lines[:3]) + "2,1,blue\r\n")
     (root / "header-only.csv").write_text("".join(lines[:2]))
     (root / "bad-x.csv").write_text("".join(lines[:3]) + "2,1,blue,1,(1|;,,0,0,0\r\n")
+    # a 6-step walk with every increment materialized, then one cell blanked
+    walked = walk(Construction.load(root / "m.lwc"), 6, random.Random(1), KDistribution(truncation=2))
+    write_trajectory_csv(root / "full.csv", walked, "x")
+    _blank_cell(root / "full.csv", root / "z-gap.csv", step=2, column="z")
+    _blank_cell(root / "full.csv", root / "x-gap.csv", step=1, column="x")
     # a tail record at step 2 (level 3) whose q1 = z_1 is far outside A(1,3)^1
     huge = LamplighterElement((10**400,), 0)
     z1 = ProductElement(huge, huge)
@@ -432,6 +487,9 @@ def bad_inputs(tmp_path_factory):
     (["verify-switcher", "{root}/bin.txt", "0|"], "bin.txt: not UTF-8 text"),
     (["verify-switcher", "{root}/bad.txt", "1|"],
      "bad.txt: line 2: not a canonical integer: '07' (at position 0)"),
+    # z cells the writer never writes: after a missing z cell, and beside a missing x cell
+    (["analyze", "{root}/z-gap.csv", "--out", "a.json"], "z-gap.csv: step 3 has a z cell"),
+    (["analyze", "{root}/x-gap.csv", "--out", "a.json"], "x-gap.csv: step 1 has a z cell"),
 ])
 def test_bad_input_is_one_error_line(bad_inputs, tmp_path, monkeypatch, capsys, argv, message):
     from lampwalk import cli

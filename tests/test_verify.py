@@ -1,13 +1,14 @@
 """The verification suite: verdicts, and one window index per (level, prime)."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
 from lampwalk import sampling, verify
 from lampwalk.construction import Config, Construction
 from lampwalk.errors import LampwalkError, ScheduleLimitError, SizeCapError
-from lampwalk.groups import LAMP_A, PRODUCT_IDENTITY, encode, inverse
+from lampwalk.groups import LAMP_A, PRODUCT_IDENTITY, LamplighterElement, encode, inverse
 from lampwalk.sampling import KDistribution
 from lampwalk.tvbound import SparsePMF, exact_joint_pmf
 
@@ -149,3 +150,69 @@ def test_a_digest_that_cannot_be_written_fails_the_rebuild_row(mini_asym_small, 
         "rebuild failed: cannot encode: a cursor or lamp exceeds 2000000 decimal digits",
     )
     assert all(ok for _, ok, _ in rows[1:])
+
+
+def _reference_core_rows(c: Construction) -> list:
+    """The core rows read the way the suite once read them: each level's core as a set."""
+    out = []
+    for j in (1, 2):
+        cores = [set(c.a_core(j, i)) for i in range(1, c.max_built + 1)]
+        nested = all(a <= b for a, b in zip(cores, cores[1:]))
+        out.append((
+            f"core-nesting-j{j}", nested,
+            "A cores grow monotonically" if nested else "a core lost elements",
+        ))
+        if c.mode == "symmetric":
+            sym = all({inverse(g) for g in core} == core for core in cores)
+            out.append((
+                f"core-symmetry-j{j}", sym,
+                "cores closed under inverse" if sym else "a core is not symmetric",
+            ))
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["mini_asym", "mini_sym", "mini_asym_small", "mini_sym_small",
+                                     "paper_asym"])
+def test_core_rows_match_the_per_level_sets(fixture, request):
+    c = request.getfixturevalue(fixture)
+    assert verify._check_core_nesting(c) == _reference_core_rows(c)
+
+
+def test_core_rows_fail_where_the_per_level_sets_do():
+    def tampered():
+        c = Construction("symmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
+        c.build_to(6)
+        return c
+
+    # level 3 adds an element without its inverse
+    c = tampered()
+    added = c.a_core_added(1, 3)
+    assert added
+    core = c._core_lists[0]
+    core[core.index(added[0])] = LamplighterElement((), 10**9)
+    rows = verify._check_core_nesting(c)
+    assert rows == _reference_core_rows(c)
+    assert [ok for _, ok, _ in rows] == [True, False, True, True]
+    # level 5's core falls back to level 3's
+    c = tampered()
+    assert c.a_state(1, 3).core_len < c.a_state(1, 4).core_len
+    st = c._a_states[4]
+    c._a_states[4] = (dataclasses.replace(st[0], core_len=c.a_state(1, 3).core_len), st[1])
+    rows = verify._check_core_nesting(c)
+    assert rows == _reference_core_rows(c)
+    assert [ok for _, ok, _ in rows] == [False, True, True, True]
+
+
+def test_core_rows_copy_no_core():
+    # 50 symmetric levels: the cores reach 3,109 entries, and reading every
+    # level's core as a set peaked at 12.7 MB
+    c = Construction("symmetric", "mini", Config(brute_verify=False))
+    c.build_to(50)
+    tracemalloc.start()
+    try:
+        rows = verify._check_core_nesting(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(ok for _, ok, _ in rows) and len(rows) == 4
+    assert peak < 2_000_000, peak
