@@ -15,8 +15,9 @@ stays coupled.
 The law of K is one flat cumulative ``array('d')`` of 8 bytes per level (the
 default truncation I = 10**6 keeps 8 MB), built with the floats of the
 plain list formula, so every table entry and every draw is bit-identical to
-that formula's.  A k-draw bisects a list of the first ``_HEAD`` entries and
-goes on into the array only past them; see ``KDistribution``.
+that formula's.  A k-draw reads a guide table of power-of-two buckets, and
+bisects only the few table entries of a bucket that holds more than one;
+see ``KDistribution``.
 
 Element materialization is capped: steps whose level exceeds the cap keep
 exact (k, y, sigma) metadata but no group element, since deep-level boxes are
@@ -48,10 +49,10 @@ from .setalg import ORACLE_BOX_CAP
 
 DEFAULT_EXPONENT = 1.25
 DEFAULT_TRUNCATION = 1_000_000
-# Draws bisect a list of the first _HEAD cumulative values (most draws end
-# there) before the array; the build converts _CHUNK levels at a time.
-_HEAD = 4096
+# The build converts _CHUNK levels at a time; the guide table has at most
+# _GUIDE buckets.
 _CHUNK = 4096
+_GUIDE = 2**14
 
 
 class KDistribution:
@@ -66,10 +67,18 @@ class KDistribution:
     build also peaks near 8 bytes per level.  ``pmf`` and ``pmf_vector`` redo
     the same two operations on demand and return the same floats.
 
-    A draw bisects ``_head``, a plain list of the first ``_HEAD`` cumulative
-    values, and the array from ``_HEAD`` on only when u lies past them.  The
-    table is non-decreasing, so this is exactly ``bisect_right`` over the
-    whole table, and the sampled streams are unchanged.
+    A draw goes through a guide table of ``scale`` buckets, the least power
+    of two at or above the truncation and at most ``_GUIDE``:
+    ``_guide[j] = bisect_right(cum, j / scale)`` for j = 0 .. scale + 1, and
+    ``_exact[j]`` is the level ``_guide[j] + 1`` when bucket j holds no table
+    entry, else 0.  The draw is ``j = int(u * scale)``, then ``_exact[j]`` or
+    a ``bisect_right`` of u over ``cum[_guide[j]:_guide[j + 1]]``.  Since
+    ``scale`` is a power of two, ``u * scale`` and ``j / scale`` are exact,
+    so j / scale <= u < (j + 1) / scale and the full-table bisect of u lies
+    in [_guide[j], _guide[j + 1]]: the draw is exactly ``bisect_right`` over
+    the whole table, and the sampled streams are those of that bisect.  The
+    entry at j = scale covers u = 1.0.  At I = 10**6, 81% of the buckets
+    resolve with one lookup.
     """
 
     def __init__(self, truncation: int = DEFAULT_TRUNCATION, exponent: float = DEFAULT_EXPONENT):
@@ -92,7 +101,9 @@ class KDistribution:
             struct.pack_into(f"{len(sums)}d", cum, lo * cum.itemsize, *sums)
         cum[-1] = 1.0
         self._cum = cum
-        self._head = cum[:_HEAD].tolist()
+        self._scale = scale = min(_GUIDE, 1 << (truncation - 1).bit_length())
+        self._guide = guide = array("i", [bisect.bisect_right(cum, j / scale) for j in range(scale + 2)])
+        self._exact = array("i", [g + 1 if g == h else 0 for g, h in zip(guide, guide[1:])])
 
     def pmf(self, k: int) -> float:
         if 1 <= k <= self.truncation:
@@ -104,10 +115,8 @@ class KDistribution:
 
     def sample(self, rng) -> int:
         u = rng.random()
-        i = bisect.bisect_right(self._head, u)
-        if i == _HEAD:
-            i = bisect.bisect_right(self._cum, u, _HEAD)
-        return i + 1
+        j = int(u * self._scale)
+        return self._exact[j] or bisect.bisect_right(self._cum, u, self._guide[j], self._guide[j + 1]) + 1
 
 
 def _is_red(k: int, getrandbits) -> bool:
@@ -164,8 +173,9 @@ class Trajectory:
     while every increment so far is materialized.
 
     The columns are not changed after construction, except by assigning to
-    ``steps[i]``, which also drops the partial products from step i + 1 on
-    and the record scan that ``analysis`` caches in ``_scan``.
+    ``steps[i]``.  That recomputes the partial products from step i + 1 on,
+    up to the first step whose increment is not materialized, and drops the
+    record scan that ``analysis`` caches in ``_scan``.
     """
 
     k: list
@@ -236,7 +246,11 @@ class _Steps(Sequence):
         traj.elements.pop(i, None)
         if step.x is not None:
             traj.elements[i] = (step.f1, step.f2, step.x)
-        del traj.zs[i:]
+        zs, elements = traj.zs, traj.elements
+        del zs[i:]
+        while len(zs) in elements:  # walk's rule: extend while the next increment is present
+            x = elements[len(zs)][2]
+            zs.append(multiply(zs[-1], x) if zs else x)
         traj._scan = None
 
     def __eq__(self, other) -> bool:
@@ -266,15 +280,15 @@ def walk(
     symmetric = c.mode == "symmetric"
     ks, red, elements, zs = [], bytearray(), {}, []
     neg = bytearray() if symmetric else None
-    cum, head, random, getrandbits = kdist._cum, kdist._head, rng.random, rng.getrandbits
-    bisect_right = bisect.bisect_right
+    cum, scale, guide, exact = kdist._cum, kdist._scale, kdist._guide, kdist._exact
+    random, getrandbits, bisect_right = rng.random, rng.getrandbits, bisect.bisect_right
     for i in range(horizon):
+        # KDistribution.sample and _is_red inline, as a call per step is slower:
+        # the guide table's lookup, and the colour from one block of k < 64 bits
         u = random()
-        k = bisect_right(head, u)  # KDistribution.sample inline: a call per step is slower
-        if k == _HEAD:
-            k = bisect_right(cum, u, _HEAD)
-        k += 1
-        is_red = _is_red(k, getrandbits)
+        j = int(u * scale)
+        k = exact[j] or bisect_right(cum, u, guide[j], guide[j + 1]) + 1
+        is_red = not getrandbits(k) if k < 64 else _is_red(k, getrandbits)
         ks.append(k)
         red.append(is_red)
         sigma = 1

@@ -4,9 +4,11 @@ import bisect
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +26,6 @@ from lampwalk.groups import (
     multiply,
 )
 from lampwalk.sampling import (
-    _HEAD,
     TRAJECTORY_COLUMNS,
     CoupledStep,
     KDistribution,
@@ -80,29 +81,75 @@ class _FixedUniforms(random.Random):
         return next(self._us)
 
 
-@pytest.mark.parametrize("truncation", [1, 7, _HEAD - 1, _HEAD, _HEAD + 1, 10**5])
-def test_two_step_draw_is_the_full_table_bisect(truncation, mini_asym):
-    kd = KDistribution(truncation)
-    cum = list(kd._cum)
-    edge = cum[min(truncation, _HEAD) - 1]  # the last value in the head
-    us = [0.0, edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0)]
+# (truncation, exponent): a single level, guides of 1, 2 and 8 buckets, both
+# sides of the 2**14 cap, and the default truncation
+GUIDED_LAWS = [
+    (1, 1.25), (2, 1.25), (7, 1.25), (2**14 - 1, 1.25), (2**14, 1.25), (2**14 + 1, 1.25),
+    (10**5, 1.25), (10**6, 1.25), (300, 2.0),
+]
+
+
+def bucket_edges(scale):
+    """Every bucket edge j / scale and both float neighbours of each."""
+    edges = [j / scale for j in range(scale + 1)]
+    return [v for e in edges for v in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))]
+
+
+@pytest.mark.parametrize("truncation, exponent", GUIDED_LAWS)
+def test_guided_draw_is_the_full_table_bisect(truncation, exponent, mini_asym):
+    kd = KDistribution(truncation, exponent)
+    us = bucket_edges(kd._scale)
     rng = random.Random(truncation)
     us += [rng.random() for _ in range(10**5)]
-    expected = [bisect.bisect_right(cum, u) + 1 for u in us]
-    if truncation > _HEAD:  # the planted values fall on both sides of the head's end
-        assert expected[:4] == [1, _HEAD + 1, _HEAD, _HEAD + 1]
+    expected = [bisect.bisect_right(kd._cum, u) + 1 for u in us]
     assert walk(mini_asym, len(us), _FixedUniforms(us), kd, x_level_cap=0).k == expected
     draws = _FixedUniforms(us)
     assert [kd.sample(draws) for _ in us] == expected
 
 
+@pytest.mark.parametrize("truncation", [1, 7, 4095, 4096, 4097, 10**5])
+def test_two_step_draw_is_the_full_table_bisect(truncation, mini_asym):
+    # a bucket read, then a bisect inside the bucket; here u is planted on
+    # table entries and both float neighbours of each, where bisect_right
+    # must step past an entry equal to u
+    kd = KDistribution(truncation)
+    cum = list(kd._cum)
+    rng = random.Random(truncation)
+    picked = sorted({*range(min(truncation, 64)), truncation - 1, *rng.sample(range(truncation), min(truncation, 256))})
+    us = [v for i in picked for v in (math.nextafter(cum[i], 0.0), cum[i], math.nextafter(cum[i], 2.0))]
+    us += [rng.random() for _ in range(10**5)]
+    us = [u for u in us if u < 1.0]  # random() never returns 1.0
+    expected = [bisect.bisect_right(cum, u) + 1 for u in us]
+    assert walk(mini_asym, len(us), _FixedUniforms(us), kd, x_level_cap=0).k == expected
+    draws = _FixedUniforms(us)
+    assert [kd.sample(draws) for _ in us] == expected
+
+
+@pytest.mark.parametrize("truncation, exponent", GUIDED_LAWS)
+def test_guide_table_invariants(truncation, exponent):
+    kd = KDistribution(truncation, exponent)
+    scale, guide, exact = kd._scale, kd._guide, kd._exact
+    assert scale == min(2**14, 1 << (truncation - 1).bit_length())
+    assert len(guide) == scale + 2 and len(exact) == scale + 1
+    assert list(guide) == [bisect.bisect_right(kd._cum, j / scale) for j in range(scale + 2)]
+    for j, e in enumerate(exact):
+        assert e == (guide[j] + 1 if guide[j] == guide[j + 1] else 0)
+    # the bracket the guide relies on: j / scale <= u < (j + 1) / scale in
+    # exact arithmetic, for the bucket j = int(u * scale) that u is drawn in
+    for u in bucket_edges(scale):
+        j = int(u * scale)
+        assert Fraction(j, scale) <= Fraction(u) < Fraction(j + 1, scale)
+    if truncation == 10**6:
+        assert scale == 16384 and sum(1 for e in exact[:scale] if e) == 13298
+
+
 def test_level_law_footprint():
     # 8 bytes per level for the cumulative array, up to 1/16 more for the
-    # array's over-allocation, and the fixed 4096-entry head list (0.7 bytes
-    # per level here): at most 10 retained.  The build overwrites its weights
-    # array with the sums, so it peaks near that plus one chunk; 20 leaves
-    # room for a second array but not for a list of floats, which costs 32
-    # bytes per level.
+    # array's over-allocation, and the guide table's two int arrays of at
+    # most 2**14 + 2 entries (0.7 bytes per level here): at most 10
+    # retained.  The build overwrites its weights array with the sums, so
+    # it peaks near that plus one chunk; 20 leaves room for a second array
+    # but not for a list of floats, which costs 32 bytes per level.
     levels = 2 * 10**5
     tracemalloc.start()
     try:
@@ -199,7 +246,7 @@ def reference_walk(c, horizon, rng, kdist, cap):
     [
         ("mini_asym", 50, 0), ("mini_asym", 50, 1), ("mini_asym", 50, 2), ("mini_asym", 2, None),
         ("mini_sym", 50, 0), ("mini_sym", 50, 1), ("mini_sym", 50, 2), ("mini_sym", 2, None),
-        ("paper_asym", 10**4, 0),
+        ("paper_asym", 10**4, 0), ("paper_asym", 10**6, 0),
     ],
 )
 def test_walk_matches_a_per_step_reference(fixture, truncation, cap, request):
@@ -213,6 +260,25 @@ def test_walk_matches_a_per_step_reference(fixture, truncation, cap, request):
         assert (traj.neg is not None) == (c.mode == "symmetric")
         rng, ref = random.Random(seed), random.Random(seed)
         assert [sample_x(c, rng, kd, cap) for _ in range(20)] == reference_walk(c, 20, ref, kd, cap)[0]
+
+
+def test_assigning_a_step_recomputes_the_partial_products(mini_asym_small):
+    c = mini_asym_small
+    traj = walk(c, 6, random.Random(1), KDistribution(2))
+    assert len(traj.zs) == 6
+    red = c.level(1).red_increment()
+
+    def products():
+        xs = [step.x for step in traj.steps if step.x is not None]
+        return list(itertools.accumulate(xs, multiply))
+
+    traj.steps[2] = CoupledStep(1, "red", 1, x=red)
+    assert traj.zs == products() and len(traj.zs) == 6
+    traj.steps[1] = CoupledStep(3, "blue", 1)  # no increment: the products stop at step 1
+    assert traj.zs == products()[:1]
+    traj.steps[1] = CoupledStep(1, "red", 1, x=red)  # filling the gap extends them again
+    assert traj.zs == products() and len(traj.zs) == 6
+    assert traj.z(6) == traj.zs[-1]
 
 
 def test_trajectory_csv_roundtrip_keeps_the_columns(mini_sym, tmp_path):
