@@ -144,15 +144,6 @@ class Decomposition:
     q2: Optional[ProductElement]
     sigma: int = 1
 
-    @property
-    def materialized(self) -> bool:
-        return None not in (self.q1, self.f1, self.f2, self.q2)
-
-
-def recompose(c: Construction, d: Decomposition) -> ProductElement:
-    mid = c.level(d.level).blue_increment(d.f1, d.f2, d.sigma)
-    return multiply(multiply(d.q1, mid), d.q2)
-
 
 def p_map(d: Decomposition) -> ProductElement:
     """The level-drop map: a window form is sent to its left coset factor."""
@@ -334,12 +325,11 @@ class WindowIndex:
         if not box.fits(BRUTE_BOX_CAP):
             raise OracleRangeError(f"level {i} box too large for window enumeration")
         self.fs = list(box.iter_elements())
-        self.sigmas = (1, -1) if c.mode == "symmetric" else (1,)
         self.slices = [
             (i1, i2, s)
             for i1 in range(len(self.fs))
             for i2 in range(len(self.fs))
-            for s in self.sigmas
+            for s in c.signs
         ]
         mids = [lv.blue_increment(self.fs[i1], self.fs[i2], s) for i1, i2, s in self.slices]
         lefts = [x.left for x in mids]
@@ -428,7 +418,7 @@ class WindowIndex:
             return False, sorted(both)
         return True, []
 
-    def iter_elements(self, limit: Optional[int] = None):
+    def iter_elements(self):
         """Joint window forms, one per (slice, q-choice) tuple combination,
         slice by slice: joint slice t pairs factor 1's block t of ``ids``
         with the factor-2 block that holds slice t under ``own_slice``.
@@ -439,17 +429,13 @@ class WindowIndex:
         block2 = len(f2.qa_list) * len(f2.qb_list)
         forms1, forms2 = list(f1.values), list(f2.values)
         holder = {own: sid for sid, own in enumerate(self.own_slice)}
-
-        def joint():
-            for t in range(len(self.slices)):
-                s = holder[t]
-                g2s = [_lamp(*forms2[f]) for f in f2.ids[s * block2:(s + 1) * block2]]
-                for f in f1.ids[t * block1:(t + 1) * block1]:
-                    g1 = _lamp(*forms1[f])
-                    for g2 in g2s:
-                        yield ProductElement(g1, g2)
-
-        return itertools.islice(joint(), limit)
+        for t in range(len(self.slices)):
+            s = holder[t]
+            g2s = [_lamp(*forms2[f]) for f in f2.ids[s * block2:(s + 1) * block2]]
+            for f in f1.ids[t * block1:(t + 1) * block1]:
+                g1 = _lamp(*forms1[f])
+                for g2 in g2s:
+                    yield ProductElement(g1, g2)
 
 
 class WindowOracle:
@@ -464,14 +450,6 @@ class WindowOracle:
         if key not in self._cache:
             self._cache[key] = WindowIndex(self.construction, i, prime)
         return self._cache[key]
-
-    def rank(self, g: ProductElement, max_level: int) -> int:
-        """Smallest level i <= max_level whose window holds g, else 0; a
-        reference that tests check the tracked ranks against."""
-        for i in range(1, max_level + 1):
-            if g in self.index(i):
-                return i
-        return 0
 
 
 MULTIPLE = "multiple"

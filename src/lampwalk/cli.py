@@ -153,7 +153,7 @@ def _print_level(c: Construction, level) -> None:
     ratio, then per factor A(j,i)'s core, exactness and radii, and b1, b2, c."""
     ratio = level.folner_ratio
     print(
-        f"level {level.index}: box n={_int_text(level.n)}"
+        f"level {level.index}: box n={_short_int_text(level.n)}"
         f" folner={'certified' if level.folner_certified else 'recorded'}"
         f" ratio={'n/a' if ratio is None else f'{float(ratio):.6g}'}"
     )
@@ -161,18 +161,19 @@ def _print_level(c: Construction, level) -> None:
         fl, st = level.factor(j), c.a_state(j, level.index)
         print(
             f"  factor {j}: core={st.core_len} exact={'yes' if st.exact else 'no'}"
-            f" cert=({_int_text(st.cert.cursor_radius)},{_int_text(st.cert.lamp_radius)})"
+            f" cert=({_short_int_text(st.cert.cursor_radius)},"
+            f"{_short_int_text(st.cert.lamp_radius)})"
             f" b1={_element_text(fl.b1)} b2={_element_text(fl.b2)} c={_element_text(fl.c)}"
         )
 
 
-def _int_text(n: int) -> str:
+def _short_int_text(n: int) -> str:
     """An integer in decimal up to 64 bits, past that as ~2^(bit length - 1), signed."""
     return str(n) if n.bit_length() <= 64 else f"~{'-' if n < 0 else ''}2^{n.bit_length() - 1}"
 
 
 def _element_text(g) -> str:
-    return f"{_int_text(g.cursor)}|{','.join(map(_int_text, g.lamps))}"
+    return f"{_short_int_text(g.cursor)}|{','.join(map(_short_int_text, g.lamps))}"
 
 
 def cmd_sample(args) -> int:
@@ -193,8 +194,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    texts = _split_elements(args.freeness)
+    if texts and not args.construction:
+        raise LampwalkError("--freeness needs --construction: its membership levels gate a verdict")
     c = Construction.load(args.construction) if args.construction else None
-    freeness = [decode(t) for t in _split_elements(args.freeness)]
+    freeness = [decode(t) for t in texts]
     reports = []
     for path in args.trajectories:
         traj = read_trajectory_csv(path)

@@ -53,9 +53,11 @@ from .errors import (
     CorruptFileError,
     LampwalkError,
     MembershipError,
+    OracleRangeError,
     ScheduleLimitError,
 )
 from .groups import (
+    DEFAULT_SIZE_CAP,
     LamplighterElement,
     LazyEnumeration,
     ProductElement,
@@ -67,7 +69,7 @@ from .groups import (
     product_group,
 )
 from .setalg import (
-    DEFAULT_SIZE_CAP,
+    ORACLE_BOX_CAP,
     BoundCertificate,
     ExplicitSet,
     SkewBox,
@@ -94,7 +96,7 @@ FORMAT_VERSION = "lampwalk-construction v2"
 REPRESENTABLE_BOX_BITS = 24
 
 # the fixed caps of every build, which the recipe records together with the
-# size cap setalg.DEFAULT_SIZE_CAP; load refuses a file that names other values
+# size cap groups.DEFAULT_SIZE_CAP; load refuses a file that names other values
 CORE_BLOCK_CAP = 4096       # materialize F b1 S b2 [F] when this small
 CORE_LEVEL_CAP = 4          # ... and the level is at most this
 FOLNER_POWER_CAP = 1000     # materialize A^p for exact sums when under
@@ -156,6 +158,13 @@ class Level:
 
     def box(self) -> SkewBox:
         return SkewBox(self.n)
+
+    def oracle_box(self) -> SkewBox:
+        """The box an exact oracle enumerates; ``OracleRangeError`` past ``ORACLE_BOX_CAP``."""
+        box = self.box()
+        if not box.fits(ORACLE_BOX_CAP):
+            raise OracleRangeError(f"level {self.index} box too large for the exact oracle")
+        return box
 
     def blue_increment(self, f1, f2, sigma: int = 1) -> ProductElement:
         """X = (f1 b1 f2 b2, f2 b1' f1 b2')^sigma for box draws f1, f2."""
@@ -229,6 +238,11 @@ class Construction:
 
     def exponent_level(self, i: int) -> int:
         return i if self.schedule == "paper" else 1
+
+    @property
+    def signs(self) -> tuple:
+        """The equally likely signs of a step: (1, -1) in symmetric mode, else (1,)."""
+        return (1, -1) if self.mode == "symmetric" else (1,)
 
     @property
     def max_built(self) -> int:
@@ -472,22 +486,6 @@ class Construction:
 
     def a_power(self, j: int, i: int, p: int) -> ExplicitSet:
         return power_set(self.a_set(j, i), p)
-
-    def membership_a(self, j: int, i: int, g: LamplighterElement) -> str:
-        """'yes' | 'no' | 'unknown-sound' membership of g in A(j,i).
-
-        The package answers membership with ``membership_level``; tests keep
-        this per-level answer as its reference.
-        """
-        st = self.a_state(j, i)
-        pos = self._core_index[j - 1].get(g)
-        if pos is not None and pos < st.core_len:
-            return "yes"
-        if st.exact:
-            return "no"
-        if not st.cert.covers(g):
-            return "no"
-        return "unknown-sound"
 
     def membership_level(self, j: int, g: LamplighterElement) -> int:
         """Smallest i with g in A(j,i) that this construction can certify.

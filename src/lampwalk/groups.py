@@ -37,6 +37,9 @@ from .errors import GroupMismatchError, ParseError, SizeCapError
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
 
+# the most elements a word ball, set product or skew-box enumeration may hold
+DEFAULT_SIZE_CAP = 1_000_000
+
 _new = tuple.__new__
 
 
@@ -476,7 +479,7 @@ class LazyEnumeration:
         return idx if idx is not None and idx < bound else None
 
 
-def word_ball(g: GroupDescriptor, r: int, size_cap: int = 1_000_000) -> set[Element]:
+def word_ball(g: GroupDescriptor, r: int) -> set[Element]:
     """All elements of word length <= r over the fixed generating set."""
     if r < 0:
         raise ValueError("radius must be >= 0")
@@ -485,10 +488,10 @@ def word_ball(g: GroupDescriptor, r: int, size_cap: int = 1_000_000) -> set[Elem
         if depth > r or not layer:
             break
         out.update(layer)
-        if len(out) > size_cap:
+        if len(out) > DEFAULT_SIZE_CAP:
             raise SizeCapError(
                 f"word ball of radius {r} exceeds the size cap (> {len(out)} elements)",
                 predicted=len(out),
-                cap=size_cap,
+                cap=DEFAULT_SIZE_CAP,
             )
     return out

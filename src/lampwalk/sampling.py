@@ -45,7 +45,6 @@ from typing import Optional
 from .construction import Construction
 from .errors import CorruptFileError, LampwalkError, OracleRangeError, ParseError
 from .groups import PRODUCT_IDENTITY, LamplighterElement, ProductElement, decode, encode, inverse, multiply
-from .setalg import ORACLE_BOX_CAP
 
 DEFAULT_EXPONENT = 1.25
 DEFAULT_TRUNCATION = 1_000_000
@@ -141,10 +140,6 @@ class CoupledStep:
     f1: Optional[object] = None
     f2: Optional[object] = None
     x: Optional[ProductElement] = None
-
-    @property
-    def materialized(self) -> bool:
-        return self.x is not None
 
 
 def sample_x(
@@ -325,9 +320,7 @@ def _blue_parses(c: Construction, k: int, g: ProductElement):
     that a search over all of F x F finds, in |F| solves.
     """
     level = c.level(k)
-    box = level.box()
-    if not box.fits(ORACLE_BOX_CAP):
-        raise OracleRangeError(f"level {k} box too large for the exact oracle")
+    box = level.oracle_box()
     if not (isinstance(g, ProductElement) and isinstance(g.left, LamplighterElement)):
         return []
     solve = level.factor(1).solve_other

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import CorruptFileError, MembershipError, ParseError, SizeCapError
 from .groups import (
+    DEFAULT_SIZE_CAP,
     Element,
     GroupDescriptor,
     LamplighterElement,
@@ -30,8 +31,6 @@ from .groups import (
     inverse,
     multiply,
 )
-
-DEFAULT_SIZE_CAP = 1_000_000
 
 # the largest boxes the exact oracles enumerate: the pmf oracles walk F x F,
 # while window indexes and brute switcher scans also multiply by powers of A
@@ -84,25 +83,25 @@ def read_set(path, group: GroupDescriptor):
     return explicit(group, elems)
 
 
-def product_set(a: ExplicitSet, b: ExplicitSet, size_cap: int = DEFAULT_SIZE_CAP) -> ExplicitSet:
+def product_set(a: ExplicitSet, b: ExplicitSet) -> ExplicitSet:
     predicted = len(a) * len(b)
-    if predicted > size_cap:
+    if predicted > DEFAULT_SIZE_CAP:
         raise SizeCapError(
-            f"set product would build up to {predicted} elements (cap {size_cap})",
+            f"set product would build up to {predicted} elements (cap {DEFAULT_SIZE_CAP})",
             predicted=predicted,
-            cap=size_cap,
+            cap=DEFAULT_SIZE_CAP,
         )
     out = {multiply(x, y) for x in a.elements for y in b.elements}
     return ExplicitSet(frozenset(out), a.group)
 
 
-def power_set(a: ExplicitSet, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> ExplicitSet:
+def power_set(a: ExplicitSet, n: int) -> ExplicitSet:
     """n-fold product set A * A * ... * A."""
     if n < 1:
         raise ValueError("exponent must be >= 1")
     out = a
     for _ in range(n - 1):
-        out = product_set(out, a, size_cap=size_cap)
+        out = product_set(out, a)
     return out
 
 
@@ -139,17 +138,8 @@ class SkewBox:
             return False
         return all(t <= p <= t + n - 1 for p in g.lamps)
 
-    def rank(self, f: LamplighterElement) -> int:
-        """Index in [0, n*2^n): (t+n-1)*2^n + binary lamp-window encoding."""
-        if f not in self:
-            raise MembershipError(f"{encode(f)} is not in skewbox:{self.n}")
-        n, t = self.n, f.cursor
-        mask = 0
-        for p in f.lamps:
-            mask |= 1 << (p - t)
-        return (t + n - 1) * (1 << n) + mask
-
     def unrank(self, index: int) -> LamplighterElement:
+        """The element of index (t+n-1)*2^n + binary lamp-window encoding."""
         n = self.n
         if not (0 <= index < self.size()):
             raise MembershipError(f"index {index} out of range for skewbox:{n}")
@@ -157,18 +147,18 @@ class SkewBox:
         t = block - (n - 1)
         return _lamp(tuple(t + i for i in range(n) if (mask >> i) & 1), t)
 
-    def iter_elements(self, size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[LamplighterElement]:
-        if self.size() > size_cap:
+    def iter_elements(self) -> Iterator[LamplighterElement]:
+        if self.size() > DEFAULT_SIZE_CAP:
             raise SizeCapError(
-                f"skewbox:{self.n} has {self.size()} elements (cap {size_cap})",
+                f"skewbox:{self.n} has {self.size()} elements (cap {DEFAULT_SIZE_CAP})",
                 predicted=self.size(),
-                cap=size_cap,
+                cap=DEFAULT_SIZE_CAP,
             )
         for i in range(self.size()):
             yield self.unrank(i)
 
-    def as_explicit(self, group: GroupDescriptor, size_cap: int = DEFAULT_SIZE_CAP) -> ExplicitSet:
-        return explicit(group, self.iter_elements(size_cap))
+    def as_explicit(self, group: GroupDescriptor) -> ExplicitSet:
+        return explicit(group, self.iter_elements())
 
 
 # -- bound certificates -------------------------------------------------------
@@ -257,12 +247,6 @@ def skewbox_overlap(g: LamplighterElement, box: SkewBox) -> int:
     n = box.n
     slices = max(0, n - _loss_numer(g))
     return slices * (1 << n)
-
-
-def skewbox_loss(g: LamplighterElement, box: SkewBox) -> Fraction:
-    """Exact |gF \\ F| / |F|.  The package reads ``_loss_numer`` directly;
-    tests keep this ratio as the per-element reference."""
-    return Fraction(min(box.n, _loss_numer(g)), box.n)
 
 
 def worst_loss_numer(cert: BoundCertificate) -> int:

@@ -177,14 +177,12 @@ def _ball_candidates(group: GroupDescriptor, radius: int) -> tuple:
     return tuple(sorted((b for b in word_ball(group, radius) if not is_identity(b)), key=encode))
 
 
-def find_switcher_bfs(
-    a: ExplicitSet, radius: int, group: Optional[GroupDescriptor] = None
-) -> Optional[Element]:
+def find_switcher_bfs(a: ExplicitSet, radius: int) -> Optional[Element]:
     """First non-identity element of the radius ball, in encoding order (not
     BFS order), that passes is_switcher; else None.  A rejected candidate
     builds no report."""
     elems = a.sorted_elements()
-    for b in _ball_candidates(group or a.group, radius):
+    for b in _ball_candidates(a.group, radius):
         if _lowest_failure(a, elems, (b,)) is None:
             return b
     return None

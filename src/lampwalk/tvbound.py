@@ -38,7 +38,6 @@ from .errors import MembershipError, OracleRangeError, SizeCapError
 from .groups import Element, encode, is_identity, multiply
 from .sampling import KDistribution
 from .setalg import (
-    ORACLE_BOX_CAP,
     certify,
     certify_power,
     certify_product,
@@ -76,13 +75,13 @@ class SparsePMF:
         return self.probs.get(g, 0.0)
 
 
-def convolve(p: SparsePMF, q: SparsePMF, size_cap: int = DEFAULT_PMF_CAP) -> SparsePMF:
+def convolve(p: SparsePMF, q: SparsePMF) -> SparsePMF:
     predicted = len(p) * len(q)
-    if predicted > size_cap:
+    if predicted > DEFAULT_PMF_CAP:
         raise SizeCapError(
-            f"convolution support may reach {predicted} (cap {size_cap})",
+            f"convolution support may reach {predicted} (cap {DEFAULT_PMF_CAP})",
             predicted=predicted,
-            cap=size_cap,
+            cap=DEFAULT_PMF_CAP,
         )
     out: dict = {}
     for a, pa in p.probs.items():
@@ -92,12 +91,12 @@ def convolve(p: SparsePMF, q: SparsePMF, size_cap: int = DEFAULT_PMF_CAP) -> Spa
     return SparsePMF(out)
 
 
-def convolve_power(p: SparsePMF, n: int, size_cap: int = DEFAULT_PMF_CAP) -> SparsePMF:
+def convolve_power(p: SparsePMF, n: int) -> SparsePMF:
     if n < 1:
         raise ValueError("n must be >= 1")
     out = p
     for _ in range(n - 1):
-        out = convolve(out, p, size_cap=size_cap)
+        out = convolve(out, p)
     return out
 
 
@@ -123,13 +122,11 @@ def exact_joint_pmf(c: Construction, kdist: KDistribution) -> SparsePMF:
         if w:
             masses[g] = masses.get(g, 0.0) + w
 
-    signs = (1, -1) if c.mode == "symmetric" else (1,)
+    signs = c.signs
     sig = 1.0 / len(signs)
     for k in range(1, kdist.truncation + 1):
         level = c.level(k)
-        box = level.box()
-        if not box.fits(ORACLE_BOX_CAP):
-            raise OracleRangeError(f"level {k} box too large for the exact oracle")
+        box = level.oracle_box()
         pk = kdist.pmf(k)
         red_p = 2.0 ** -k
         for s in signs:
@@ -142,17 +139,14 @@ def exact_joint_pmf(c: Construction, kdist: KDistribution) -> SparsePMF:
     return SparsePMF(masses, tolerance=1e-9)
 
 
-def exact_marginal(
-    c: Construction, j: int, n: int, kdist: KDistribution,
-    size_cap: int = DEFAULT_PMF_CAP,
-) -> SparsePMF:
+def exact_marginal(c: Construction, j: int, n: int, kdist: KDistribution) -> SparsePMF:
     """pr_j(nu)^(*n) by exact convolution of the marginalized step law."""
     joint = exact_joint_pmf(c, kdist)
     marg: dict = {}
     for g, w in joint.probs.items():
         comp = g.left if j == 1 else g.right
         marg[comp] = marg.get(comp, 0.0) + w
-    return convolve_power(SparsePMF(marg, tolerance=1e-9), n, size_cap=size_cap)
+    return convolve_power(SparsePMF(marg, tolerance=1e-9), n)
 
 
 # -- certified bound ------------------------------------------------------------------
@@ -256,7 +250,7 @@ def certified_marginal_bound(
     prefix = [0.0]
     for p in pmf:
         prefix.append(prefix[-1] + p)
-    sig = 0.5 if c.mode == "symmetric" else 1.0
+    sig = 1.0 / len(c.signs)
 
     # state[v] = P(no good record yet, running max = v); v = 0 means no draws.
     # A draw k > v is a strict record whatever v is, so every transition into

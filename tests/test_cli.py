@@ -250,11 +250,11 @@ def test_level_lines_stay_short_on_deep_builds(tmp_path, monkeypatch, capsys):
 def test_integers_past_64_bits_print_as_powers_of_two():
     from lampwalk import cli
 
-    assert cli._int_text(2**64 - 1) == "18446744073709551615"
-    assert cli._int_text(-(2**64 - 1)) == "-18446744073709551615"
-    assert cli._int_text(2**64) == "~2^64"
-    assert cli._int_text(-(2**64)) == "~-2^64"
-    assert cli._int_text(-(3 * 2**5000)) == "~-2^5001"
+    assert cli._short_int_text(2**64 - 1) == "18446744073709551615"
+    assert cli._short_int_text(-(2**64 - 1)) == "-18446744073709551615"
+    assert cli._short_int_text(2**64) == "~2^64"
+    assert cli._short_int_text(-(2**64)) == "~-2^64"
+    assert cli._short_int_text(-(3 * 2**5000)) == "~-2^5001"
 
 
 def test_manifest_records_the_flag_values(tmp_path):
@@ -490,6 +490,9 @@ def bad_inputs(tmp_path_factory):
     # z cells the writer never writes: after a missing z cell, and beside a missing x cell
     (["analyze", "{root}/z-gap.csv", "--out", "a.json"], "z-gap.csv: step 3 has a z cell"),
     (["analyze", "{root}/x-gap.csv", "--out", "a.json"], "x-gap.csv: step 1 has a z cell"),
+    # freeness verdicts without the construction that gates them, refused before any file is read
+    (["analyze", "missing.csv", "--freeness", "(0|0;0|)", "--out", "a.json"],
+     "--freeness needs --construction"),
 ])
 def test_bad_input_is_one_error_line(bad_inputs, tmp_path, monkeypatch, capsys, argv, message):
     from lampwalk import cli

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from lampwalk import groups
 from lampwalk.errors import GroupMismatchError, ParseError, SizeCapError
 from lampwalk.groups import (
     AbelianControlElement,
@@ -407,10 +408,11 @@ def test_ball_monotone():
     assert sizes == sorted(sizes)
 
 
-def test_ball_cap_refusal():
+def test_ball_cap_refusal(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_SIZE_CAP", 100)
     with pytest.raises(SizeCapError) as err:
-        word_ball(LAMP, 12, size_cap=100)
-    assert err.value.predicted > 100
+        word_ball(LAMP, 12)
+    assert err.value.predicted > 100 and err.value.cap == 100
 
 
 def test_abelian_ball_is_diamond():

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from references import skewbox_loss, skewbox_rank
+
+from lampwalk import setalg
 from lampwalk.errors import MembershipError, SizeCapError
 from lampwalk.groups import (
     LAMP_A,
@@ -30,7 +33,6 @@ from lampwalk.setalg import (
     folner_for,
     power_set,
     product_set,
-    skewbox_loss,
     skewbox_overlap,
     symmetrize,
     verify_folner,
@@ -99,10 +101,13 @@ def test_power_monotone_with_identity():
         assert power_set(a, 2).elements <= power_set(a, 3).elements
 
 
-def test_product_cap():
-    ball = explicit(LAMP, word_ball(LAMP, 3))
-    with pytest.raises(SizeCapError):
-        product_set(ball, ball, size_cap=10)
+def test_product_cap(monkeypatch):
+    # 1,001^2 predicted products against a cap of 10^6, refused before any is formed
+    a = explicit(LAMP, [LamplighterElement((), t) for t in range(1001)])
+    monkeypatch.setattr(setalg, "multiply", None)
+    with pytest.raises(SizeCapError) as err:
+        product_set(a, a)
+    assert (err.value.predicted, err.value.cap) == (1001**2, 10**6)
 
 
 def test_symmetrize():
@@ -127,6 +132,15 @@ def test_box_contents_n3():
         assert all(g.cursor <= p <= g.cursor + 2 for p in g.lamps)
 
 
+def test_box_enumeration_cap(monkeypatch):
+    # 18 * 2^18 = 4,718,592 elements against a cap of 10^6
+    monkeypatch.setattr(SkewBox, "unrank", None)
+    elements = SkewBox(18).iter_elements()
+    with pytest.raises(SizeCapError) as err:
+        next(elements)
+    assert (err.value.predicted, err.value.cap) == (18 * 2**18, 10**6)
+
+
 @pytest.mark.parametrize("cap", [0, 1, 2, 8, 511, 512, 4096, 4097])
 def test_box_fits_is_the_size_test(cap):
     for n in range(1, 40):
@@ -139,9 +153,9 @@ def test_rank_unrank_inverse_exhaustive():
     for n in (1, 2, 3):
         box = SkewBox(n)
         for i in range(box.size()):
-            assert box.rank(box.unrank(i)) == i
+            assert skewbox_rank(box, box.unrank(i)) == i
         for f in box.iter_elements():
-            assert box.unrank(box.rank(f)) == f
+            assert box.unrank(skewbox_rank(box, f)) == f
 
 
 def test_unrank_zero():
@@ -150,7 +164,7 @@ def test_unrank_zero():
 
 def test_rank_rejects_outsiders():
     with pytest.raises(MembershipError):
-        SkewBox(2).rank(LamplighterElement((), 1))
+        skewbox_rank(SkewBox(2), LamplighterElement((), 1))
     with pytest.raises(MembershipError):
         SkewBox(2).unrank(8)
 
@@ -206,7 +220,7 @@ def test_certify_power_soundness_random():
         cert = certify(a)
         for p in (2, 3, 4):
             cp = certify_power(cert, p)
-            for g in power_set(a, p, size_cap=200_000).elements:
+            for g in power_set(a, p).elements:
                 assert cp.covers(g)
 
 

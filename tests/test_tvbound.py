@@ -64,9 +64,11 @@ def test_hand_convolution_uniform_es():
 
 
 def test_convolution_cap():
-    big = uniform_pmf(list(SkewBox(4).iter_elements()))
-    with pytest.raises(SizeCapError):
-        convolve(big, big, size_cap=100)
+    # 896^2 = 802,816 support pairs against a cap of 200,000
+    big = uniform_pmf(list(SkewBox(7).iter_elements()))
+    with pytest.raises(SizeCapError) as err:
+        convolve(big, big)
+    assert (err.value.predicted, err.value.cap) == (896**2, 200_000)
 
 
 def test_pmf_validation():
