@@ -241,6 +241,11 @@ class _FactorMap:
         by_form = array("i", sorted(range(len(keys)), key=keys.__getitem__))
         return by_form, array("i", itertools.accumulate(counts, initial=0))
 
+    @property
+    def block(self) -> int:
+        """Entries per slice: one per (qa, qb) choice."""
+        return len(self.qa_list) * len(self.qb_list)
+
     def codes(self, f: int) -> array:
         """The codes of form id f, ascending."""
         by_form, starts = self._grouped
@@ -261,7 +266,7 @@ class _FactorMap:
         slices of one form both meet that form's first slice; such pairs are
         checked set against set.
         """
-        block = len(self.qa_list) * len(self.qb_list)
+        block = self.block
 
         def forms(sid):
             return self.ids[sid * block:(sid + 1) * block]
@@ -287,7 +292,7 @@ class _FactorMap:
         """(form, slice id, its first two (qa, qb) choices) for each form that
         repeats inside one of the slices ``sids``, in order of form id (that
         is, of the form's first occurrence), then by slice."""
-        block = len(self.qa_list) * len(self.qb_list)
+        block = self.block
         found = []
         for sid in sids:
             per_form = {}
@@ -316,9 +321,7 @@ class WindowIndex:
     """
 
     def __init__(self, c: Construction, i: int, prime: bool = False):
-        self.construction = c
         self.level = i
-        self.prime = prime
         e = c.exponent_level(i)
         lv = c.level(i)
         box = lv.box()
@@ -425,8 +428,7 @@ class WindowIndex:
         Each slice's forms are rebuilt as elements when it is reached, so the
         first form costs one slice, not the whole index."""
         f1, f2 = self.factors
-        block1 = len(f1.qa_list) * len(f1.qb_list)
-        block2 = len(f2.qa_list) * len(f2.qb_list)
+        block1, block2 = f1.block, f2.block
         forms1, forms2 = list(f1.values), list(f2.values)
         holder = {own: sid for sid, own in enumerate(self.own_slice)}
         for t in range(len(self.slices)):

@@ -22,7 +22,7 @@ from . import __version__
 from .analysis import trajectory_report, write_analysis_json
 from .construction import MINI_BOX_MAX, Config, Construction
 from .errors import LampwalkError
-from .groups import decode, encode, lamplighter_group
+from .groups import LamplighterElement, ProductElement, decode, encode, lamplighter_group
 from .sampling import (
     KDistribution,
     read_trajectory_csv,
@@ -197,8 +197,8 @@ def cmd_analyze(args) -> int:
     texts = _split_elements(args.freeness)
     if texts and not args.construction:
         raise LampwalkError("--freeness needs --construction: its membership levels gate a verdict")
+    freeness = _decode_each(texts, "--freeness", "a pair of lamplighter elements", _is_lamp_pair)
     c = Construction.load(args.construction) if args.construction else None
-    freeness = [decode(t) for t in texts]
     reports = []
     for path in args.trajectories:
         traj = read_trajectory_csv(path)
@@ -218,10 +218,26 @@ def _split_elements(items) -> list:
     return out
 
 
+def _is_lamp_pair(h) -> bool:
+    return isinstance(h, ProductElement) and all(isinstance(p, LamplighterElement) for p in h)
+
+
+def _decode_each(texts, flag: str, what: str, accepts) -> list:
+    """Decode each encoding, refusing one that ``accepts`` rejects."""
+    out = []
+    for text in texts:
+        g = decode(text)
+        if not accepts(g):
+            raise LampwalkError(f"{flag} element {text!r} is not {what}")
+        out.append(g)
+    return out
+
+
 def cmd_tv(args) -> int:
+    gens = _decode_each(_split_elements(args.generators) or DEFAULT_GENERATORS, "--generators",
+                        "a lamplighter element", lambda h: isinstance(h, LamplighterElement))
     c = Construction.load(args.construction)
     kdist = KDistribution(truncation=args.truncation_level)
-    gens = _split_elements(args.generators) or DEFAULT_GENERATORS
     grid = args.n_grid
     oracle_grid = [n for n in grid if args.oracle and n <= args.oracle_n_cap]
     # the oracle reads every level up to the truncation; the bound, its goal
@@ -229,8 +245,7 @@ def cmd_tv(args) -> int:
     # the exact marginal depends on n alone, not on the generator
     marginals = {n: exact_marginal(c, args.factor, n, kdist) for n in oracle_grid}
     rows = []
-    for text in gens:
-        h = decode(text)
+    for h in gens:
         for n in grid:
             report = certified_marginal_bound(c, h, n, j=args.factor, kdist=kdist)
             marginal = marginals.get(n)

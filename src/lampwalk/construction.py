@@ -221,10 +221,9 @@ class Construction:
         if schedule == "mini" and not 1 <= self.config.mini_box_cap <= MINI_BOX_MAX:
             raise ValueError(f"mini box cap must be in 1..{MINI_BOX_MAX}")
         self.factor_group = lamplighter_group()
-        self.group = product_group(self.factor_group, self.factor_group)
         self.identity = self.factor_group.identity()
         self.levels: list[Level] = []
-        self._enum = LazyEnumeration(self.group)
+        self._enum = LazyEnumeration(product_group(self.factor_group, self.factor_group))
         self._core_lists = ([self.identity], [self.identity])
         self._core_index = ({self.identity: 0}, {self.identity: 0})
         start = AState(cert=BoundCertificate(0, 0), card=1, core_len=1, exact=True)

@@ -428,14 +428,9 @@ def enumerate_elements(g: GroupDescriptor, n: int) -> list[Element]:
     """First n distinct elements in breadth-first order; element 1 is e."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    out: list[Element] = []
-    for layer in _bfs_layers(g):
-        if not layer:
-            break
-        out.extend(layer)
-        if len(out) >= n:
-            return out[:n]
-    return out
+    enum = LazyEnumeration(g)
+    enum.element(n - 1)
+    return enum._cache[:n]
 
 
 class LazyEnumeration:
@@ -447,7 +442,6 @@ class LazyEnumeration:
     """
 
     def __init__(self, g: GroupDescriptor):
-        self.group = g
         self._layers = _bfs_layers(g)
         self._cache: list[Element] = []
         self._first = ({}, {}) if g.kind == "product" else None

@@ -210,6 +210,13 @@ class Trajectory:
     def z_materialized(self, n: int) -> bool:
         return n == 0 or n - 1 < len(self.zs)
 
+    def _extend_zs(self) -> None:
+        """Extend ``zs`` while the next step's increment is materialized."""
+        zs, elements = self.zs, self.elements
+        while len(zs) in elements:
+            x = elements[len(zs)][2]
+            zs.append(multiply(zs[-1], x) if zs else x)
+
 
 class _Steps(Sequence):
     """The ``CoupledStep`` view of a trajectory, one step built per access."""
@@ -241,11 +248,8 @@ class _Steps(Sequence):
         traj.elements.pop(i, None)
         if step.x is not None:
             traj.elements[i] = (step.f1, step.f2, step.x)
-        zs, elements = traj.zs, traj.elements
-        del zs[i:]
-        while len(zs) in elements:  # walk's rule: extend while the next increment is present
-            x = elements[len(zs)][2]
-            zs.append(multiply(zs[-1], x) if zs else x)
+        del traj.zs[i:]
+        traj._extend_zs()
         traj._scan = None
 
     def __eq__(self, other) -> bool:
@@ -256,7 +260,7 @@ def walk(
     c: Construction,
     horizon: int,
     rng,
-    kdist: Optional[KDistribution] = None,
+    kdist: KDistribution,
     x_level_cap: Optional[int] = None,
 ) -> Trajectory:
     """Simulate ``horizon`` coupled steps; deterministic given the rng state.
@@ -270,10 +274,9 @@ def walk(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    kdist = kdist or KDistribution()
     cap = kdist.truncation if x_level_cap is None else x_level_cap
     symmetric = c.mode == "symmetric"
-    ks, red, elements, zs = [], bytearray(), {}, []
+    ks, red, elements = [], bytearray(), {}
     neg = bytearray() if symmetric else None
     cum, scale, guide, exact = kdist._cum, kdist._scale, kdist._guide, kdist._exact
     random, getrandbits, bisect_right = rng.random, rng.getrandbits, bisect.bisect_right
@@ -302,9 +305,9 @@ def walk(
             f2 = box.unrank(rng.randrange(box.size()))
             x = level.blue_increment(f1, f2, sigma)
         elements[i] = (f1, f2, x)
-        if len(zs) == i:
-            zs.append(multiply(zs[-1], x) if zs else x)
-    return Trajectory(ks, red, neg, elements, zs)
+    traj = Trajectory(ks, red, neg, elements)
+    traj._extend_zs()
+    return traj
 
 
 # -- exact pmf oracle ----------------------------------------------------------
@@ -406,7 +409,10 @@ def write_trajectory_csv(path, traj: Trajectory, manifest_digest: str = "") -> N
 
 def read_trajectory_csv(path) -> Trajectory:
     """Read a trajectory back; a bad header, row or cell raises ``CorruptFileError``
-    with the path and the step, and a file that is not UTF-8 text with the path."""
+    with the path and the step, and a file that is not UTF-8 text with the path.
+
+    The partial products are rebuilt from the x cells by the rule ``walk``
+    follows, and each z cell must equal the product it stands for."""
     traj = Trajectory([], bytearray(), bytearray())
     ints: dict = {}  # one int() per distinct integer text in this file
     # partial products outgrow the default cap; the process-wide limit is
@@ -436,7 +442,10 @@ def read_trajectory_csv(path) -> Trajectory:
                     if not x_text or len(traj.zs) < step - 1:
                         raise CorruptFileError(f"{path}: step {step} has a z cell without"
                                                " its x cell or an earlier z cell")
-                    traj.zs.append(decode(z_text, table=ints))
+                    traj._extend_zs()
+                    if decode(z_text, table=ints) != traj.zs[-1]:
+                        raise CorruptFileError(f"{path}: step {step} has a z cell that is not"
+                                               " the product of the x cells up to it")
     except ParseError as exc:
         raise CorruptFileError(f"{path}: step {step}: {exc}") from None
     except UnicodeDecodeError:
@@ -445,4 +454,5 @@ def read_trajectory_csv(path) -> Trajectory:
         csv.field_size_limit(limit)
     if not traj.k:
         raise CorruptFileError(f"{path}: no steps")
+    traj._extend_zs()
     return traj

@@ -246,10 +246,7 @@ def certified_marginal_bound(
             f"membership horizon: {exc}"
         ) from exc
     h_cert = certify([h])
-    pmf = kdist.pmf_vector()
-    prefix = [0.0]
-    for p in pmf:
-        prefix.append(prefix[-1] + p)
+    pmf, cum = kdist.pmf_vector(), kdist._cum  # cum[k - 1] = P(K <= k)
     sig = 1.0 / len(c.signs)
 
     # state[v] = P(no good record yet, running max = v); v = 0 means no draws.
@@ -274,7 +271,7 @@ def certified_marginal_bound(
                     nxt[k] = step * (1.0 - blue[k] * sig)
                 else:
                     nxt[k] = step
-            nxt[k] += state[k] * prefix[k]
+            nxt[k] += state[k] * cum[k - 1]
             below += state[k]
         state = nxt
     failure = 2.0 * math.fsum(state)

@@ -408,14 +408,14 @@ def test_run_flags_are_taken_only_where_they_act():
         assert taken == FLAG_SLOTS[command], command
 
 
-def _blank_cell(source: Path, target: Path, step: int, column: str) -> None:
-    """Copy a trajectory CSV with one cell of one step blanked."""
+def _set_cell(source: Path, target: Path, step: int, column: str, text: str = "") -> None:
+    """Copy a trajectory CSV with one cell of one step set to ``text`` (blank by default)."""
     from lampwalk.sampling import TRAJECTORY_COLUMNS
 
     with open(source, newline="") as fh:
         manifest = fh.readline()
         rows = list(csv.reader(fh))
-    rows[step][TRAJECTORY_COLUMNS.index(column)] = ""  # rows[0] is the header
+    rows[step][TRAJECTORY_COLUMNS.index(column)] = text  # rows[0] is the header
     with open(target, "w", newline="") as fh:
         fh.write(manifest)
         csv.writer(fh).writerows(rows)
@@ -425,7 +425,7 @@ def _blank_cell(source: Path, target: Path, step: int, column: str) -> None:
 def bad_inputs(tmp_path_factory):
     """A level-2 mini file and trajectory CSVs that each break one rule."""
     from lampwalk import cli
-    from lampwalk.groups import LamplighterElement, ProductElement
+    from lampwalk.groups import LamplighterElement, ProductElement, encode
     from lampwalk.construction import Construction
     from lampwalk.sampling import KDistribution, Trajectory, walk, write_trajectory_csv
 
@@ -442,8 +442,12 @@ def bad_inputs(tmp_path_factory):
     # a 6-step walk with every increment materialized, then one cell blanked
     walked = walk(Construction.load(root / "m.lwc"), 6, random.Random(1), KDistribution(truncation=2))
     write_trajectory_csv(root / "full.csv", walked, "x")
-    _blank_cell(root / "full.csv", root / "z-gap.csv", step=2, column="z")
-    _blank_cell(root / "full.csv", root / "x-gap.csv", step=1, column="x")
+    _set_cell(root / "full.csv", root / "z-gap.csv", step=2, column="z")
+    _set_cell(root / "full.csv", root / "x-gap.csv", step=1, column="x")
+    # step 4's z cell holds step 3's partial product
+    z3 = encode(walked.z(3))
+    assert z3 != encode(walked.z(4))
+    _set_cell(root / "full.csv", root / "z-swap.csv", step=4, column="z", text=z3)
     # a tail record at step 2 (level 3) whose q1 = z_1 is far outside A(1,3)^1
     huge = LamplighterElement((10**400,), 0)
     z1 = ProductElement(huge, huge)
@@ -493,6 +497,19 @@ def bad_inputs(tmp_path_factory):
     # freeness verdicts without the construction that gates them, refused before any file is read
     (["analyze", "missing.csv", "--freeness", "(0|0;0|)", "--out", "a.json"],
      "--freeness needs --construction"),
+    # freeness elements that are not pairs, refused before any trajectory is read
+    (["analyze", "missing.csv", "--construction", "{root}/m.lwc", "--freeness", "0|0",
+      "--out", "a.json"], "--freeness element '0|0' is not a pair of lamplighter elements"),
+    (["analyze", "missing.csv", "--construction", "{root}/m.lwc", "--freeness", "1,2",
+      "--out", "a.json"], "--freeness element '1,2' is not a pair of lamplighter elements"),
+    # marginal generators that are not lamplighter elements, refused before any level is built
+    (["tv", "{root}/m.lwc", "--generators", "(0|;0|)", "--out", "tv.csv"],
+     "--generators element '(0|;0|)' is not a lamplighter element"),
+    (["tv", "{root}/m.lwc", "--generators", "1,2", "--out", "tv.csv"],
+     "--generators element '1,2' is not a lamplighter element"),
+    # a z cell that is another step's partial product
+    (["analyze", "{root}/z-swap.csv", "--out", "a.json"],
+     "z-swap.csv: step 4 has a z cell that is not the product of the x cells up to it"),
 ])
 def test_bad_input_is_one_error_line(bad_inputs, tmp_path, monkeypatch, capsys, argv, message):
     from lampwalk import cli
