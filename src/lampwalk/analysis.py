@@ -33,8 +33,9 @@ from functools import cached_property
 from typing import Optional
 
 from .construction import Construction
-from .errors import MembershipError, OracleRangeError
-from .groups import PRODUCT_IDENTITY, ProductElement, _lamp, _product_row, encode, is_identity, multiply
+from .errors import GroupMismatchError, MembershipError, OracleRangeError
+from .groups import (PRODUCT_IDENTITY, LamplighterElement, ProductElement, _lamp, _product_row,
+                     encode, is_identity, multiply)
 from .sampling import Trajectory
 from .setalg import BRUTE_BOX_CAP, certify_power
 
@@ -502,6 +503,10 @@ def tau_extract(traj: Trajectory) -> TailSequence:
     return TailSequence(tuple(entries), i0)
 
 
+def is_lamp_pair(h) -> bool:
+    return isinstance(h, ProductElement) and all(isinstance(p, LamplighterElement) for p in h)
+
+
 def freeness_test(traj: Trajectory, h: ProductElement, c: Construction) -> str:
     """'distinct' | 'identical' | 'censored' for the translated tail.
 
@@ -511,8 +516,10 @@ def freeness_test(traj: Trajectory, h: ProductElement, c: Construction) -> str:
     the comparison is decided by the group law and no product is formed.
     The verdict's content is the gating: it is 'censored' unless the tail
     reaches h's membership level with an element the report can show (a
-    materialized z_{m-1}).
+    materialized z_{m-1}).  Any other kind of ``h`` raises ``GroupMismatchError``.
     """
+    if not is_lamp_pair(h):
+        raise GroupMismatchError(f"not a pair of lamplighter elements: {type(h).__name__}")
     tail = tau_extract(traj)
     if tail.censored or not tail.entries:
         return "censored"

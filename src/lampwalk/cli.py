@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .analysis import trajectory_report, write_analysis_json
+from .analysis import is_lamp_pair, trajectory_report, write_analysis_json
 from .construction import MINI_BOX_MAX, Config, Construction
 from .errors import LampwalkError
-from .groups import LamplighterElement, ProductElement, decode, encode, lamplighter_group
+from .groups import decode, encode, lamplighter_group
 from .sampling import (
     KDistribution,
     read_trajectory_csv,
@@ -36,6 +36,7 @@ from .tvbound import (
     _buildable_goal,
     certified_marginal_bound,
     exact_marginal,
+    is_lamp_element,
     translate,
     tv,
     write_tv_curve,
@@ -197,7 +198,7 @@ def cmd_analyze(args) -> int:
     texts = _split_elements(args.freeness)
     if texts and not args.construction:
         raise LampwalkError("--freeness needs --construction: its membership levels gate a verdict")
-    freeness = _decode_each(texts, "--freeness", "a pair of lamplighter elements", _is_lamp_pair)
+    freeness = _decode_each(texts, "--freeness", "a pair of lamplighter elements", is_lamp_pair)
     c = Construction.load(args.construction) if args.construction else None
     reports = []
     for path in args.trajectories:
@@ -218,10 +219,6 @@ def _split_elements(items) -> list:
     return out
 
 
-def _is_lamp_pair(h) -> bool:
-    return isinstance(h, ProductElement) and all(isinstance(p, LamplighterElement) for p in h)
-
-
 def _decode_each(texts, flag: str, what: str, accepts) -> list:
     """Decode each encoding, refusing one that ``accepts`` rejects."""
     out = []
@@ -235,7 +232,7 @@ def _decode_each(texts, flag: str, what: str, accepts) -> list:
 
 def cmd_tv(args) -> int:
     gens = _decode_each(_split_elements(args.generators) or DEFAULT_GENERATORS, "--generators",
-                        "a lamplighter element", lambda h: isinstance(h, LamplighterElement))
+                        "a lamplighter element", is_lamp_element)
     c = Construction.load(args.construction)
     kdist = KDistribution(truncation=args.truncation_level)
     grid = args.n_grid

@@ -86,10 +86,11 @@ from .setalg import (
 )
 from .switchers import analytic_switcher, is_superswitcher, is_switcher
 
-# the canonical body keeps its v1 first line, so the digests that files and
-# manifests carry stay fixed; a v2 file holds the recipe and that digest only
+# the canonical body keeps its v1 first line: integers within groups.DECIMAL_BITS
+# bits print in decimal as they did, so a body with no larger one keeps its digest;
+# a v3 file holds the recipe and that digest, and v2 files, all decimal, are refused
 BODY_VERSION = "lampwalk-construction v1"
-FORMAT_VERSION = "lampwalk-construction v2"
+FORMAT_VERSION = "lampwalk-construction v3"
 
 # past this window-size bit length, n*2^n and set cardinalities stop being
 # representable and the schedule is at its desk-scale ceiling

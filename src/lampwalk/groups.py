@@ -26,16 +26,11 @@ closed off.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import GroupMismatchError, ParseError, SizeCapError
-
-# deep schedule levels carry cursors with 10^5+ digits; keep them encodable
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
 
 # the most elements a word ball, set product or skew-box enumeration may hold
 DEFAULT_SIZE_CAP = 1_000_000
@@ -293,7 +288,10 @@ def is_identity(a: Element) -> bool:
 # lamplighter:      <cursor>|<lamp>,<lamp>,...   lamps sorted ascending
 # product:          (<enc-left>;<enc-right>)     split at top-level ';'
 # abelian control:  <x>,<y>
-# integer:          0 | -?[1-9][0-9]*            one text per integer
+# integer:          0 | -?[1-9][0-9]*            up to DECIMAL_BITS bits, one text
+#                   -?0x[1-9a-f][0-9a-f]*        past them, as hex() writes it
+#                   (decimal within 14,000 bits fits CPython's default 4,300-digit
+#                   limit and hex has none, so no interpreter setting is needed)
 #
 # ``encode`` and ``decode`` take an optional integer table (int -> text for
 # encode, text -> int for decode) that a caller passes fresh for one batch of
@@ -302,31 +300,25 @@ def is_identity(a: Element) -> bool:
 # distinct one once.  Without one, each call uses a fresh table; the table is
 # only a cache, and the result is the same.
 
-_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*").fullmatch
+DECIMAL_BITS = 14_000
+_DECIMAL_DIGITS = 4_215  # len(str(2**DECIMAL_BITS - 1))
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*|-?0x[1-9a-f][0-9a-f]*").fullmatch
 
 
 def _int_text(n: int, table: dict) -> str:
     text = table.get(n)
     if text is None:
-        text = table[n] = str(n)
+        text = table[n] = str(n) if n.bit_length() <= DECIMAL_BITS else hex(n)
     return text
 
 
 def encode(a: Element, table: dict | None = None) -> str:
     if table is None:
         table = {}
-    try:
-        if isinstance(a, LamplighterElement):
-            return f"{_int_text(a[1], table)}|{','.join([_int_text(p, table) for p in a[0]])}"
-        if isinstance(a, AbelianControlElement):
-            return f"{_int_text(a[0], table)},{_int_text(a[1], table)}"
-    except ValueError:
-        # an integer past the interpreter's decimal-digit limit
-        limit = sys.get_int_max_str_digits()
-        raise SizeCapError(
-            f"cannot encode: a cursor or lamp exceeds {limit} decimal digits",
-            cap=limit,
-        ) from None
+    if isinstance(a, LamplighterElement):
+        return f"{_int_text(a[1], table)}|{','.join([_int_text(p, table) for p in a[0]])}"
+    if isinstance(a, AbelianControlElement):
+        return f"{_int_text(a[0], table)},{_int_text(a[1], table)}"
     if isinstance(a, ProductElement):
         return f"({encode(a[0], table)};{encode(a[1], table)})"
     raise GroupMismatchError(f"cannot encode {type(a).__name__}")
@@ -339,11 +331,16 @@ def _parse_int(text: str, offset: int, table: dict) -> int:
             raise ParseError("expected an integer, got empty field", text, offset)
         if not _CANONICAL_INT(text):
             raise ParseError(f"not a canonical integer: {text!r}", text, offset)
+        is_hex = "x" in text
+        if not is_hex and len(text) - text.startswith("-") > _DECIMAL_DIGITS:
+            raise ParseError(f"decimal integer past {DECIMAL_BITS} bits", text, offset)
         try:
-            n = table[text] = int(text)
+            n = int(text, 16 if is_hex else 10)
         except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise ParseError(f"integer exceeds {limit} decimal digits", text, offset) from None
+            raise ParseError("integer past the interpreter's digit limit", text, offset) from None
+        if (n.bit_length() > DECIMAL_BITS) != is_hex:
+            raise ParseError(f"not the canonical form of a {n.bit_length()}-bit integer", text, offset)
+        table[text] = n
     return n
 
 
@@ -391,9 +388,8 @@ def decode(text: str, offset: int = 0, table: dict | None = None) -> Element:
             pos += len(field) + 1
         for prev, nxt in zip(lamps, lamps[1:]):
             if prev >= nxt:
-                raise ParseError(
-                    f"lamps not strictly ascending: {prev} before {nxt}", text, offset + bar + 1
-                )
+                raise ParseError(f"lamps not strictly ascending: {_int_text(prev, {})} before"
+                                 f" {_int_text(nxt, {})}", text, offset + bar + 1)
         return _lamp(tuple(lamps), cursor)
     if "," in text:
         comma = text.index(",")

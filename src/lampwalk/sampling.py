@@ -391,7 +391,7 @@ def write_trajectory_csv(path, traj: Trajectory, manifest_digest: str = "") -> N
     simple = set(report.simple_record_times)
     flags = stable_so_far_flags(traj)
     neg = traj.neg or bytes(traj.horizon)
-    ints: dict = {}  # one decimal conversion per distinct integer in this file
+    ints: dict = {}  # one text conversion per distinct integer in this file
     with open(path, "w", newline="") as fh:
         if manifest_digest:
             fh.write(f"# manifest {manifest_digest}\n")
@@ -425,9 +425,11 @@ def read_trajectory_csv(path) -> Trajectory:
             if header != TRAJECTORY_COLUMNS:
                 raise CorruptFileError(f"{path}: unexpected trajectory columns: {header}")
             for step, row in enumerate(reader, start=1):
-                if len(row) < len(TRAJECTORY_COLUMNS):
+                if len(row) != len(TRAJECTORY_COLUMNS):
                     raise CorruptFileError(f"{path}: step {step} has {len(row)} cells")
-                (_, k, y, sigma, x_text, z_text, *_rest) = row
+                (step_text, k, y, sigma, x_text, z_text, *_rest) = row
+                if step_text != str(step):
+                    raise CorruptFileError(f"{path}: step {step} has step cell {step_text!r}")
                 if not k.isdecimal() or k.startswith("0"):
                     raise CorruptFileError(f"{path}: step {step} has level {k!r}")
                 if y not in ("red", "blue") or sigma not in ("1", "-1"):

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .construction import Construction
-from .errors import MembershipError, OracleRangeError, SizeCapError
-from .groups import Element, encode, is_identity, multiply
+from .errors import GroupMismatchError, MembershipError, OracleRangeError, SizeCapError
+from .groups import Element, LamplighterElement, encode, is_identity, multiply
 from .sampling import KDistribution
 from .setalg import (
     certify,
@@ -200,6 +200,10 @@ def _level_loss(c: Construction, h, h_cert, j: int, m: int, k: int) -> float:
     return _ratio_float_up(2 * (min(n, wa) + min(n, wb)), n)
 
 
+def is_lamp_element(h) -> bool:
+    return isinstance(h, LamplighterElement)
+
+
 def certified_marginal_bound(
     c: Construction,
     h,
@@ -230,10 +234,12 @@ def certified_marginal_bound(
     the schedule's tail loss, and memberships consult the built cores.  Build
     to ``_buildable_goal(c, I)`` first for the sharp bound the CLI reports.
     Without ``kdist`` the level law is truncated at ``DEFAULT_TV_TRUNCATION``,
-    as in ``lampwalk tv``.
+    as in ``lampwalk tv``.  An ``h`` of another kind raises ``GroupMismatchError``.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
+    if not is_lamp_element(h):
+        raise GroupMismatchError(f"not a lamplighter element: {type(h).__name__}")
     kdist = kdist or KDistribution(DEFAULT_TV_TRUNCATION)
     trunc = kdist.truncation
     if trunc > 4096:

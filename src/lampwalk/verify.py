@@ -48,7 +48,7 @@ def run_verification_suite(c: Construction) -> list:
 def _check_rebuild(c: Construction):
     # a loaded construction was itself rebuilt from its recipe, so its digest
     # is held to the one its file records; one built in process is held to
-    # a fresh rebuild.  A digest that cannot be written fails the row too.
+    # a fresh rebuild.  A rebuild that raises fails the row with its reason.
     try:
         if c.file_digest:
             ok = c.digest() == c.file_digest

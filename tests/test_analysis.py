@@ -29,7 +29,7 @@ from lampwalk.analysis import (
     trajectory_report,
 )
 from lampwalk.construction import Config, Construction
-from lampwalk.errors import MembershipError
+from lampwalk.errors import GroupMismatchError, MembershipError
 from lampwalk.groups import (
     LAMP_A,
     LamplighterElement,
@@ -927,6 +927,15 @@ def test_freeness_identity_and_translates(deep_asym, mini_walks):
     for traj in mini_walks:
         assert freeness_test(traj, PE, deep_asym) == "identical"
         assert freeness_test(traj, h, deep_asym) == "distinct"
+
+
+@pytest.mark.parametrize("text", ["0|0", "1,2", "((0|;0|);0|)"])
+def test_freeness_refuses_an_element_that_is_not_a_lamp_pair(deep_asym, mini_walks, text):
+    # the walks have stabilized, so a translate would reach h's components
+    h = decode(text)
+    for traj in mini_walks:
+        with pytest.raises(GroupMismatchError, match="pair of lamplighter elements"):
+            freeness_test(traj, h, deep_asym)
 
 
 def test_freeness_censored_when_unmaterialized(mini_asym):

@@ -448,6 +448,12 @@ def bad_inputs(tmp_path_factory):
     z3 = encode(walked.z(3))
     assert z3 != encode(walked.z(4))
     _set_cell(root / "full.csv", root / "z-swap.csv", step=4, column="z", text=z3)
+    # a 6-step metadata file with two rows swapped, a tenth cell, or a wrong step cell
+    write_trajectory_csv(root / "meta.csv", Trajectory([1, 25, 1, 3, 2, 1], bytearray(6)), "x")
+    meta = (root / "meta.csv").read_text().splitlines(keepends=True)  # manifest, header, rows
+    (root / "swapped.csv").write_text("".join(meta[:3] + [meta[4], meta[3]] + meta[5:]))
+    (root / "wide.csv").write_text("".join(meta[:5] + [meta[5].replace("\n", ",0\n")] + meta[6:]))
+    _set_cell(root / "meta.csv", root / "step-99.csv", step=4, column="step", text="99")
     # a tail record at step 2 (level 3) whose q1 = z_1 is far outside A(1,3)^1
     huge = LamplighterElement((10**400,), 0)
     z1 = ProductElement(huge, huge)
@@ -510,6 +516,10 @@ def bad_inputs(tmp_path_factory):
     # a z cell that is another step's partial product
     (["analyze", "{root}/z-swap.csv", "--out", "a.json"],
      "z-swap.csv: step 4 has a z cell that is not the product of the x cells up to it"),
+    # rows out of order, a row wider than the header, and a step cell that is not its step
+    (["analyze", "{root}/swapped.csv", "--out", "a.json"], "swapped.csv: step 2 has step cell '3'"),
+    (["analyze", "{root}/wide.csv", "--out", "a.json"], "wide.csv: step 4 has 10 cells"),
+    (["analyze", "{root}/step-99.csv", "--out", "a.json"], "step-99.csv: step 4 has step cell '99'"),
 ])
 def test_bad_input_is_one_error_line(bad_inputs, tmp_path, monkeypatch, capsys, argv, message):
     from lampwalk import cli

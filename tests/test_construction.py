@@ -306,6 +306,21 @@ def test_load_rebuilds_the_saved_digest(tmp_path, request, name):
     assert (loaded.max_built, loaded.config) == (c.max_built, c.config)
 
 
+def test_paper_symmetric_level_3_saves(tmp_path):
+    # level 3's cursors and lamps have about 10^8 bits, so its body holds them in
+    # hex: some 337 MB of text, hashed line by line and never held whole
+    c = Construction("symmetric", "paper")
+    c.build_to(3)
+    path = tmp_path / "paper-sym.lwc"
+    digest = c.save(path)
+    assert digest == "6f1326e5d175ee5bcaf307d7ea885d1e10e237e7ea794a4f5ae103d7e09208ec"
+    del c
+    loaded = Construction.load(path)
+    assert loaded.max_built == 3
+    assert loaded.file_digest == digest
+    assert loaded.digest() == digest
+
+
 def test_saved_file_is_a_recipe(tmp_path):
     # a file holds the header and a digest, whatever the level count
     c = Construction("asymmetric", "mini", Config(brute_verify=False, mini_box_cap=1))
@@ -313,7 +328,7 @@ def test_saved_file_is_a_recipe(tmp_path):
     path = tmp_path / "deep.lwc"
     c.save(path)
     assert path.stat().st_size < 1024
-    assert path.read_text().splitlines()[0] == "lampwalk-construction v2"
+    assert path.read_text().splitlines()[0] == "lampwalk-construction v3"
 
 
 def test_loaded_construction_extends_identically(tmp_path):
@@ -356,6 +371,18 @@ def test_v1_file_rejected(tmp_path, mini_asym):
     # a v1 file is the canonical body itself, integrity line included
     path = tmp_path / "c.lwc"
     path.write_text(mini_asym.serialize())
+    with pytest.raises(CorruptFileError, match="unsupported format"):
+        Construction.load(path)
+
+
+def test_v2_file_rejected(tmp_path, mini_asym):
+    # a v2 file is a recipe too, but its digest took every integer in decimal
+    path = tmp_path / "c.lwc"
+    mini_asym.save(path)
+    lines = path.read_text().split("\n")[:-2]
+    assert lines[0] == "lampwalk-construction v3"
+    head = "\n".join(["lampwalk-construction v2", *lines[1:]]) + "\n"
+    path.write_text(f"{head}sha256: {hashlib.sha256(head.encode()).hexdigest()}\n")
     with pytest.raises(CorruptFileError, match="unsupported format"):
         Construction.load(path)
 
@@ -431,7 +458,7 @@ PINNED_DIGESTS = {
     ("symmetric", "mini", 1, False, 40):
         "e59f0feac55fa1215220fb7dea6cf1bc3b2bf064c22265abe52a4b7551589afb",
     ("asymmetric", "paper", 2, True, 3):
-        "41c672dc2e4dbbe427b26dae4a9b9ded01c0b382a4cb9608135591ff7edc839f",
+        "a40bb47add644a8ec88a6c253f1b45eb31df52c078c402f1c2c95239d19fb0fc",
     ("symmetric", "paper", 2, True, 2):
         "939fbb6067c4c87d3a9678aeeb1ddc9624d087aca952cc74ac2e97833cfe42f4",
 }
@@ -459,7 +486,7 @@ def test_digest_pinned(request, recipe):
 
 def test_paper_serialize_roundtrip(tmp_path, paper_asym):
     # level-3 window parameters are hundreds of kilobits; the file keeps only
-    # the digest of their exact decimal text, and the rebuild reproduces it
+    # the digest of their exact hex text, and the rebuild reproduces it
     path = tmp_path / "paper.lwc"
     digest = paper_asym.save(path)
     loaded = Construction.load(path)

@@ -3,11 +3,13 @@
 import copy
 import pickle
 import random
+import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
+from cli_env import cli_env
 from lampwalk import groups
 from lampwalk.errors import GroupMismatchError, ParseError, SizeCapError
 from lampwalk.groups import (
@@ -255,13 +257,33 @@ def test_encode_examples():
     assert encode(AbelianControlElement(-3, 7)) == "-3,7"
 
 
-def test_encode_past_digit_limit_is_a_lampwalk_error():
-    # a cursor of 4*limit bits has about 1.2*limit decimal digits
-    big = LamplighterElement((), 1 << (4 * sys.get_int_max_str_digits()))
-    with pytest.raises(SizeCapError, match="decimal digits"):
-        encode(big)
-    with pytest.raises(SizeCapError):
-        encode(ProductElement(LAMP_A, big))
+def test_integers_round_trip_at_the_decimal_threshold():
+    # 2^14000 - 1 is the largest decimal integer, 2^14000 the smallest hex one;
+    # 2^(10^6) has some 301,030 decimal digits, 70 times CPython's default limit
+    assert groups._DECIMAL_DIGITS == len(str(2**groups.DECIMAL_BITS - 1)) == 4215
+    top, past, huge = 2**groups.DECIMAL_BITS - 1, 2**groups.DECIMAL_BITS, 2**10**6
+    cases = [(top, str(top)), (-top, str(-top)), (past, hex(past)), (-past, hex(-past)),
+             (huge, hex(huge)), (-huge, hex(-huge))]
+    for n, text in cases:
+        lamp = LamplighterElement(tuple(sorted({n, 0})), n)
+        pool = [lamp, ProductElement(lamp, LamplighterElement((), -n)),
+                ProductElement(LAMP_S, ProductElement(LAMP_A, lamp)), AbelianControlElement(n, 1)]
+        for g in pool:
+            for to_text, to_int in [(None, None), ({}, {})]:
+                t = encode(g, to_text)
+                assert text in t
+                assert decode(t, table=to_int) == g
+                assert encode(decode(t, table=to_int), to_text) == t
+
+
+def test_importing_lampwalk_leaves_the_digit_limit_alone():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no decimal-digit limit")
+    code = ("import sys; before = sys.get_int_max_str_digits(); import lampwalk, lampwalk.cli; "
+            "print(before, sys.get_int_max_str_digits())")
+    out = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[0] == out[1], out
 
 
 @pytest.mark.parametrize("lamps", [(1, 0), (0, 0)])
@@ -294,6 +316,31 @@ def test_decode_rejects_noncanonical_integers(bad):
     with pytest.raises(ParseError) as err:
         decode(bad)
     assert err.value.position is not None
+
+
+@pytest.mark.parametrize("bad, position", [
+    ("0x1f|", 0),                                   # hex within 14,000 bits
+    ("-0x1|", 0),
+    (f"(0|;1|0,{hex(2**14000 - 1)})", 8),
+    ("1" + "0" * 4215 + "|", 0),                    # decimal past 14,000 bits, by its length
+    (f"(0|;{2**14000}|)", 4),                       # and by its value, at 4,215 digits
+    (f"3,-{2**14000}", 2),
+    ("0X1f|", 0),                                   # no upper-case prefix or digits
+    (f"{hex(2**14000)[:-1]}F|", 0),
+    ("0x0|", 0),                                    # and no zero or leading zero
+    (f"0x0{hex(2**14000)[2:]}|", 0),
+    ("0x01|", 0),
+    ("0x|", 0),
+], ids=["hex-5-bits", "hex-1-bit", "hex-lamp-at-threshold", "decimal-4216-digits",
+        "decimal-2^14000", "decimal-control-2^14000", "upper-prefix", "upper-digit", "hex-zero",
+        "hex-leading-zero", "hex-leading-zero-short", "hex-no-digits"])
+def test_decode_refuses_integers_in_the_other_form(bad, position):
+    table = {}
+    with pytest.raises(ParseError) as err:
+        decode(bad, table=table)
+    assert err.value.position == position
+    # a text enters the table only once it is canonical
+    assert all(groups._int_text(n, {}) == text for text, n in table.items())
 
 
 def test_decode_past_digit_limit_reports_position():

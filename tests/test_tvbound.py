@@ -7,7 +7,7 @@ import pytest
 
 from lampwalk.cli import build_parser
 from lampwalk.construction import Config, Construction
-from lampwalk.errors import SizeCapError
+from lampwalk.errors import GroupMismatchError, SizeCapError
 from lampwalk.groups import (
     LAMP_A,
     LAMP_S,
@@ -206,6 +206,18 @@ def test_bound_without_kdist_truncates_as_the_tv_command(fixture, request):
         report = certified_marginal_bound(c, h, 100)
         assert report == certified_marginal_bound(c, h, 100, kdist=KDistribution(30))
         assert report.truncation == 30
+
+
+@pytest.mark.parametrize("text", ["(0|;0|)", "1,2"])
+def test_bound_refuses_an_element_that_is_not_a_lamplighter_element(mini_asym_small, monkeypatch,
+                                                                    text):
+    # refused before any membership scan, which would search the enumeration
+    def scanned(self, j, g):
+        raise AssertionError("membership scanned")
+
+    monkeypatch.setattr(Construction, "membership_level", scanned)
+    with pytest.raises(GroupMismatchError, match="lamplighter element"):
+        certified_marginal_bound(mini_asym_small, decode(text), 10, kdist=KDistribution(10))
 
 
 def test_bound_second_factor(paper_asym):

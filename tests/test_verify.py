@@ -138,8 +138,8 @@ def test_loaded_file_is_verified_without_a_rebuild(tmp_path, monkeypatch):
 
 
 def test_a_digest_that_cannot_be_written_fails_the_rebuild_row(mini_asym_small, monkeypatch):
-    # a paper construction's digest can hold an integer too long to encode;
-    # the row keeps its name and fails with the reason
+    # a rebuild that raises a LampwalkError, here a planted one, fails the
+    # row: it keeps its name and gives the reason
     def too_long(self):
         raise SizeCapError("cannot encode: a cursor or lamp exceeds 2000000 decimal digits")
 
