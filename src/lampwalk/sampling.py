@@ -430,7 +430,8 @@ def read_trajectory_csv(path) -> Trajectory:
                 (step_text, k, y, sigma, x_text, z_text, *_rest) = row
                 if step_text != str(step):
                     raise CorruptFileError(f"{path}: step {step} has step cell {step_text!r}")
-                if not k.isdecimal() or k.startswith("0"):
+                # the writer's ASCII digits; a level indexes the level law's table
+                if not (k.isascii() and k.isdecimal()) or k.startswith("0") or len(k) > 18:
                     raise CorruptFileError(f"{path}: step {step} has level {k!r}")
                 if y not in ("red", "blue") or sigma not in ("1", "-1"):
                     raise CorruptFileError(f"{path}: step {step} has colour {y!r} and sign {sigma!r}")

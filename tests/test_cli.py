@@ -436,6 +436,8 @@ def bad_inputs(tmp_path_factory):
     lines = (root / "ok.csv").read_text().splitlines(keepends=True)
     (root / "k-text.csv").write_text("".join(lines[:3]) + lines[3].replace("2,1,", "2,x,", 1))
     (root / "k-zero.csv").write_text("".join(lines[:3]) + lines[3].replace("2,1,", "2,0,", 1))
+    (root / "k-long.csv").write_text("".join(lines[:3]) + lines[3].replace("2,1,", f"2,{10**18},", 1))
+    (root / "k-digit.csv").write_text("".join(lines[:3]) + lines[3].replace("2,1,", "2,\u0663,", 1))
     (root / "short.csv").write_text("".join(lines[:3]) + "2,1,blue\r\n")
     (root / "header-only.csv").write_text("".join(lines[:2]))
     (root / "bad-x.csv").write_text("".join(lines[:3]) + "2,1,blue,1,(1|;,,0,0,0\r\n")
@@ -520,6 +522,10 @@ def bad_inputs(tmp_path_factory):
     (["analyze", "{root}/swapped.csv", "--out", "a.json"], "swapped.csv: step 2 has step cell '3'"),
     (["analyze", "{root}/wide.csv", "--out", "a.json"], "wide.csv: step 4 has 10 cells"),
     (["analyze", "{root}/step-99.csv", "--out", "a.json"], "step-99.csv: step 4 has step cell '99'"),
+    # a level past any level law's table (4,301 digits would pass int()'s default limit),
+    # and one in a digit the writer never writes (int() reads Arabic-Indic three as 3)
+    (["analyze", "{root}/k-long.csv", "--out", "a.json"], f"k-long.csv: step 2 has level '{10**18}'"),
+    (["analyze", "{root}/k-digit.csv", "--out", "a.json"], "k-digit.csv: step 2 has level '\u0663'"),
 ])
 def test_bad_input_is_one_error_line(bad_inputs, tmp_path, monkeypatch, capsys, argv, message):
     from lampwalk import cli

@@ -293,7 +293,9 @@ def test_constructor_rejects_noncanonical_lamps(lamps):
 
 
 def test_decode_rejects_unsorted_lamps():
-    for bad in ["2|3,0", "2|0,0", "0|1,0", "0|0,0", "(0|1,0;0|)"]:
+    # the last pair's lamps are too long to print in decimal; the message prints them in hex
+    hex_pair = f"0|{hex(2**20000)},{hex(2**14001)}"
+    for bad in ["2|3,0", "2|0,0", "0|1,0", "0|0,0", "(0|1,0;0|)", hex_pair]:
         with pytest.raises(ParseError):
             decode(bad)
 
@@ -348,6 +350,8 @@ def test_decode_past_digit_limit_reports_position():
     with pytest.raises(ParseError) as err:
         decode(f"(0|;1|0,{digits})")
     assert err.value.position == 8
+    # refused by its length, before int() reads it
+    assert "decimal integer past 14000 bits" in str(err.value)
 
 
 def test_integer_tables_change_no_text_or_element():
